@@ -33,7 +33,7 @@ from .montecarlo import (
     write_summaries_csv,
 )
 from .partial_sums import mp_generator, scaling_exponent
-from .spectral import LagWindowSpec, periodogram, smoothed_periodogram
+from .spectral import LagWindowSpec, default_truncation, periodogram, smoothed_periodogram
 
 ENV_PREFIX = "MPLM_"
 
@@ -116,19 +116,23 @@ def _write_lines(out_path, lines) -> None:
 
 
 def _read_series(path: str) -> np.ndarray:
+    """Last comma-separated field of each line; line 1 may be a header."""
     if not os.path.exists(path):
         raise _UsageError(f"input file not found: {path}")
     values = []
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
                 continue
-            fields = line.split(",")
             try:
-                values.append(float(fields[-1]))
+                value = float(line.split(",")[-1])
             except ValueError:
-                continue  # header row
+                if lineno == 1:
+                    continue  # header row
+                value = float("nan")
+            if not np.isfinite(value):
+                raise _UsageError(f"{path}:{lineno}: not a finite number: {line.strip()!r}")
+            values.append(value)
     if not values:
         raise _UsageError(f"no numeric data in {path}")
     return np.asarray(values)
@@ -190,9 +194,7 @@ def _cmd_spectrum(args) -> int:
     if smooth == "none":
         per = periodogram(x)
     else:
-        m = _resolve(args, "m", int, None)
-        if m is None:
-            m = int(np.floor(x.size**0.9))
+        m = _resolve(args, "m", int, default_truncation(x.size))
         per = smoothed_periodogram(x, LagWindowSpec(smooth, m))
     lines = ["omega,ordinate"]
     lines += [f"{_fmt(w)},{_fmt(v)}" for w, v in zip(per.freqs, per.ordinates)]

@@ -51,8 +51,7 @@ class MapKind(str, Enum):
 
 def equivalent_gamma(s: float) -> float:
     """Tail exponent of the matched piecewise-linear / chain model."""
-    if not np.isfinite(s) or s <= 0:
-        raise ValueError(f"s must be a positive finite real, got {s}")
+    _require_s(s)
     return 1.0 + 1.0 / s
 
 
@@ -116,15 +115,10 @@ class MapParams:
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """Indicator of the open interval (lo, hi), with a centering flag.
-
-    ``centered`` records whether downstream analysis should subtract the
-    empirical mean; generation itself always emits raw 0/1 values.
-    """
+    """Indicator of the open interval (lo, hi)."""
 
     lo: float = 0.1
     hi: float = 0.9
-    centered: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.lo < self.hi <= 1.0):
@@ -293,23 +287,6 @@ def lbp_cell_bounds(gamma: float, k: int) -> tuple[float, float]:
     return float(left), float(right)
 
 
-def _lbp_deep_cell(gamma: float, x: float, z: float) -> int:
-    # cell index k with tail(k+1) < x * z <= tail(k), for x below the table
-    target = x * z
-    lo = _LBP_TABLE_CELLS
-    hi = lo
-    while tail_sum(gamma, hi + 1) >= target:
-        lo = hi
-        hi = 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tail_sum(gamma, mid + 1) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _lbp_find_cells(gamma: float, x: np.ndarray):
     bounds, ascending, z = _lbp_tables(gamma)
     idx = np.searchsorted(ascending, x, side="left")
@@ -332,7 +309,9 @@ def lbp_step(gamma: float, x: float) -> float:
     if k == 0:
         return z * (x - (1.0 - 1.0 / z))
     if k >= _LBP_TABLE_CELLS:
-        k = _lbp_deep_cell(gamma, x, z)
+        # below the table: the k with tail(k+1) < x * z <= tail(k)
+        k = _invert_tail(lambda j: tail_sum(gamma, j + 1), np.nextafter(x * z, 0.0),
+                         _LBP_TABLE_CELLS)
         left, right = tail_sum(gamma, k + 1) / z, tail_sum(gamma, k) / z
     else:
         left, right = bounds[k + 1], bounds[k]

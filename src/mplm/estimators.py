@@ -25,19 +25,18 @@ harnesses count and exclude.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import LagWindowSpec, periodogram, series_values, smoothed_periodogram
+from .spectral import (LagWindowSpec, default_truncation, periodogram, series_values,
+                       smoothed_periodogram)
 from .wavelet import WaveletBasis, WaveletLadder, sample_R
 
 ORDINATE_FLOOR = 1e-15  # clamp for nonpositive ordinates ahead of logs
 LADDER_FLOOR = 1e-300
-
-METHOD_NAMES = ("perio", "parzen", "cos1", "cos2", "varmp", "vpmp",
-                "wmp-haar", "wmp-mexhat", "p", "sp")
 
 
 @dataclass(frozen=True)
@@ -132,38 +131,38 @@ def s_from_spectral_ordinates(ordinates: np.ndarray, method: str = "perio") -> E
     return EstimateResult(method, 1.0 / (slope + 2.0), slope, g, diagnostics)
 
 
+def _band_estimate(series, method: str, band: RegressionBand, window: str | None = None,
+                   truncation: int | None = None) -> EstimateResult:
+    # log-regression over the band of the raw periodogram (window None) or of
+    # a lag-window spectrum; default truncation floor(N**0.9) for parzen and
+    # floor(N**(1 - alpha)) for the cosine bell
+    x = series_values(series)
+    n = x.size
+    if n < 16:
+        raise ValueError(f"need at least 16 observations, got {n}")
+    if window is None:
+        spectrum = periodogram(x, centered=True)
+    else:
+        if truncation is None:
+            truncation = (default_truncation(n) if window == "parzen" else
+                          max(2, int(math.floor(n ** (1.0 - band.alpha) + 1e-9))))
+        spectrum = smoothed_periodogram(x, LagWindowSpec(window, truncation))
+    result = s_from_spectral_ordinates(spectrum.ordinates[:band.size(n)], method)
+    result.diagnostics["band_alpha"] = band.alpha
+    if window is not None:
+        result.diagnostics["truncation"] = truncation
+    return result
+
+
 def perio_estimate(series, band: RegressionBand = RegressionBand(0.5)) -> EstimateResult:
     """Log-periodogram regression estimate of s."""
-    x = series_values(series)
-    n = x.size
-    if n < 16:
-        raise ValueError(f"need at least 16 observations, got {n}")
-    per = periodogram(x, centered=True)
-    g = band.size(n)
-    result = s_from_spectral_ordinates(per.ordinates[:g], "perio")
-    result.diagnostics["band_alpha"] = band.alpha
-    return result
-
-
-def _smoothed_band_estimate(series, window: str, band: RegressionBand,
-                            truncation: int | None, method: str) -> EstimateResult:
-    x = series_values(series)
-    n = x.size
-    if n < 16:
-        raise ValueError(f"need at least 16 observations, got {n}")
-    m = truncation if truncation is not None else int(math.floor(n**0.9 + 1e-9))
-    spectrum = smoothed_periodogram(x, LagWindowSpec(window, m))
-    g = band.size(n)
-    result = s_from_spectral_ordinates(spectrum.ordinates[:g], method)
-    result.diagnostics["band_alpha"] = band.alpha
-    result.diagnostics["truncation"] = m
-    return result
+    return _band_estimate(series, "perio", band)
 
 
 def parzen_estimate(series, band: RegressionBand = RegressionBand(0.5),
                     truncation: int | None = None) -> EstimateResult:
     """Log-regression on the Parzen-smoothed spectrum, m = floor(N**0.9)."""
-    return _smoothed_band_estimate(series, "parzen", band, truncation, "parzen")
+    return _band_estimate(series, "parzen", band, "parzen", truncation)
 
 
 def cos_estimate(series, band: RegressionBand,
@@ -177,18 +176,7 @@ def cos_estimate(series, band: RegressionBand,
     """
     if method is None:
         method = "cos1" if band.alpha < 0.6 else "cos2"
-    if truncation is None:
-        n = series_values(series).size
-        truncation = max(2, int(math.floor(n ** (1.0 - band.alpha) + 1e-9)))
-    return _smoothed_band_estimate(series, "cosbell", band, truncation, method)
-
-
-def cos1_estimate(series) -> EstimateResult:
-    return cos_estimate(series, RegressionBand(0.5), method="cos1")
-
-
-def cos2_estimate(series) -> EstimateResult:
-    return cos_estimate(series, RegressionBand(0.7), method="cos2")
+    return _band_estimate(series, method, band, "cosbell", truncation)
 
 
 def varmp_from_block_variance(vhat: float, block_length: int,
@@ -318,13 +306,12 @@ def holder_estimate(series, smoothing: str = "none", freq_index: int = 1,
     if not 1 <= freq_index < n // 2:
         raise ValueError(f"frequency index must lie in [1, {n // 2}), got {freq_index}")
     method = "p" if smoothing == "none" else "sp"
-    x = x - x.mean()
+    # both spectra center the series themselves
     if smoothing == "none":
         spectrum = periodogram(x, centered=True)
         origin = 0.0
     else:
-        m = int(math.floor(n**0.9 + 1e-9))
-        spectrum = smoothed_periodogram(x, LagWindowSpec("parzen", m))
+        spectrum = smoothed_periodogram(x, LagWindowSpec("parzen", default_truncation(n)))
         origin = spectrum.zero_frequency_ordinate()
 
     indices = np.arange(1, average_count + 1) if average_count else np.array([freq_index])
@@ -345,36 +332,34 @@ def holder_estimate(series, smoothing: str = "none", freq_index: int = 1,
                                               "freq_indices": indices.tolist()})
 
 
-def p_estimate(series, freq_index: int = 1, average_count: int | None = None) -> EstimateResult:
-    return holder_estimate(series, "none", freq_index, average_count)
-
-
-def sp_estimate(series, freq_index: int = 1, average_count: int | None = None) -> EstimateResult:
-    return holder_estimate(series, "parzen", freq_index, average_count)
+# method name -> (function that does the work, the fixed arguments that make
+# it that method); ``estimate`` passes any other keyword arguments through
+_METHODS = {
+    "perio": (perio_estimate, {}),
+    "parzen": (parzen_estimate, {}),
+    "cos1": (cos_estimate, {"band": RegressionBand(0.5), "method": "cos1"}),
+    "cos2": (cos_estimate, {"band": RegressionBand(0.7), "method": "cos2"}),
+    "varmp": (varmp_estimate, {}),
+    "vpmp": (vpmp_estimate, {}),
+    "wmp-haar": (wmp_estimate, {"basis": WaveletBasis.HAAR}),
+    "wmp-mexhat": (wmp_estimate, {"basis": WaveletBasis.MEXICAN_HAT}),
+    "p": (holder_estimate, {"smoothing": "none"}),
+    "sp": (holder_estimate, {"smoothing": "parzen"}),
+}
+METHOD_NAMES = tuple(_METHODS)
 
 
 def estimate(series, method: str, **config) -> EstimateResult:
-    """Dispatch by method name; see ``METHOD_NAMES``."""
-    if method == "perio":
-        return perio_estimate(series, **config)
-    if method == "parzen":
-        return parzen_estimate(series, **config)
-    if method == "cos1":
-        return cos1_estimate(series) if not config else cos_estimate(
-            series, config.pop("band", RegressionBand(0.5)), method="cos1", **config)
-    if method == "cos2":
-        return cos2_estimate(series) if not config else cos_estimate(
-            series, config.pop("band", RegressionBand(0.7)), method="cos2", **config)
-    if method == "varmp":
-        return varmp_estimate(series, **config)
-    if method == "vpmp":
-        return vpmp_estimate(series, **config)
-    if method == "wmp-haar":
-        return wmp_estimate(series, WaveletBasis.HAAR)
-    if method == "wmp-mexhat":
-        return wmp_estimate(series, WaveletBasis.MEXICAN_HAT)
-    if method == "p":
-        return p_estimate(series, **config)
-    if method == "sp":
-        return sp_estimate(series, **config)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+    """Run the named method (see ``METHOD_NAMES``) with keyword ``config``.
+
+    A key the method does not take, or one of its fixed arguments, raises
+    TypeError; a series with a non-finite value gives an invalid result.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+    fn, fixed = _METHODS[method]
+    x = series_values(series)
+    if not np.isfinite(x).all():
+        inspect.signature(fn).bind(x, **fixed, **config)  # same TypeError as a call
+        return _invalid(method, "series has a non-finite value")
+    return fn(x, **fixed, **config)

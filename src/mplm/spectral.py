@@ -14,6 +14,7 @@ and count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,11 @@ class LagWindowSpec:
             raise ValueError(f"window kind must be one of {self._KINDS}, got {self.kind!r}")
         if self.m < 1:
             raise ValueError(f"truncation point must be >= 1, got {self.m}")
+
+
+def default_truncation(n: int) -> int:
+    """Default lag-window truncation point m = floor(N**0.9)."""
+    return int(math.floor(n**0.9 + 1e-9))
 
 
 def sample_acv(series, max_lag: int) -> AcvEstimate:

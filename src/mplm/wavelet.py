@@ -77,21 +77,27 @@ def _pow2_values(series) -> tuple[np.ndarray, int]:
     return x, m
 
 
-def _haar_fast(x: np.ndarray, m: int, j: int) -> np.ndarray:
-    # difference of adjacent half-block sums, blocks of 2**(m-j) samples
-    half = 1 << (m - j - 1)
-    sums = x.reshape(-1, half).sum(axis=1)
-    return 2.0 ** (0.5 * j) * (sums[0::2] - sums[1::2])
-
-
-def _mexhat_fast(x: np.ndarray, m: int, j: int) -> np.ndarray:
-    step = 1 << (m - j)  # samples per unit shift of the rescaled argument
-    halfwidth = int(MEXHAT_SUPPORT) * step
-    offsets = np.arange(-halfwidth, halfwidth + 1)
-    kernel = psi(WaveletBasis.MEXICAN_HAT, offsets / step)
-    padded = np.concatenate([np.zeros(halfwidth), x, np.zeros(halfwidth)])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, offsets.size)[::step]
-    return 2.0 ** (0.5 * j) * (windows @ kernel)
+def _fast_coefficients(x: np.ndarray, m: int, basis: WaveletBasis, levels):
+    """Yield the coefficient array of each level in ``levels``."""
+    if basis is WaveletBasis.HAAR:
+        # one pyramid of pairwise sums serves every level: sums[i] holds the
+        # sums over blocks of 2**i samples, and a level-j coefficient is the
+        # difference of adjacent half-block sums
+        sums = [x]
+        for _ in range(1, m):
+            sums.append(sums[-1][0::2] + sums[-1][1::2])
+        for j in levels:
+            half = sums[m - j - 1]
+            yield 2.0 ** (0.5 * j) * (half[0::2] - half[1::2])
+        return
+    for j in map(int, levels):
+        step = 1 << (m - j)  # samples per unit shift of the rescaled argument
+        halfwidth = int(MEXHAT_SUPPORT) * step
+        offsets = np.arange(-halfwidth, halfwidth + 1)
+        kernel = psi(WaveletBasis.MEXICAN_HAT, offsets / step)
+        padded = np.concatenate([np.zeros(halfwidth), x, np.zeros(halfwidth)])
+        windows = np.lib.stride_tricks.sliding_window_view(padded, offsets.size)[::step]
+        yield 2.0 ** (0.5 * j) * (windows @ kernel)
 
 
 def _coefficients_direct(x: np.ndarray, basis: WaveletBasis, j: int) -> np.ndarray:
@@ -122,37 +128,19 @@ def wavelet_coefficients(series, basis: WaveletBasis, j: int,
         return _coefficients_direct(x, basis, j)
     if method != "fast":
         raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
-    if basis is WaveletBasis.HAAR:
-        return _haar_fast(x, m, j)
-    return _mexhat_fast(x, m, j)
+    return next(_fast_coefficients(x, m, basis, [j]))
 
 
-def sample_R(series, basis: WaveletBasis, centered: bool = True) -> WaveletLadder:
+def sample_R(series, basis: WaveletBasis) -> WaveletLadder:
     """Mean squared coefficient per level, R_hat(j) for j = 4..m-1.
 
-    Needs at least 2**6 samples so the ladder has two or more levels.
+    The series is mean-centered first.  Needs at least 2**6 samples so the
+    ladder has two or more levels.
     """
     basis = WaveletBasis(basis)
     x, m = _pow2_values(series)
     if m < 6:
         raise ValueError(f"need a series of at least 64 samples, got {x.size}")
-    if centered:
-        x = x - x.mean()
     levels = np.arange(4, m)
-    values = np.empty(levels.size)
-    if basis is WaveletBasis.HAAR:
-        # one pyramid of pairwise sums serves every level
-        sums = x
-        ladder = {0: sums}
-        for i in range(1, m):
-            sums = sums[0::2] + sums[1::2]
-            ladder[i] = sums
-        for idx, j in enumerate(levels):
-            half = ladder[m - j - 1]
-            w = 2.0 ** (0.5 * j) * (half[0::2] - half[1::2])
-            values[idx] = np.mean(w**2)
-    else:
-        for idx, j in enumerate(levels):
-            w = _mexhat_fast(x, m, int(j))
-            values[idx] = np.mean(w**2)
-    return WaveletLadder(levels, values, m)
+    values = [np.mean(w**2) for w in _fast_coefficients(x - x.mean(), m, basis, levels)]
+    return WaveletLadder(levels, np.array(values), m)

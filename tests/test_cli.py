@@ -86,6 +86,21 @@ def test_estimate_missing_file():
     assert run_cli(["estimate", "--method", "perio", "--in", "no-such.csv"]) == 1
 
 
+def test_estimate_rejects_bad_data_lines(tmp_path, capsys):
+    rows = "t,x\n" + "".join(f"{t},{t % 3 % 2}\n" for t in range(4096))
+    for tail, lineno in (("4096,oops\n", 4098), ("4096,nan\n", 4098),
+                         ("4096,1\n4097,inf\n", 4099), ("t,x\n4096,1\n", 4098)):
+        series = tmp_path / "bad.csv"
+        series.write_text(rows + tail)
+        assert run_cli(["estimate", "--method", "perio", "--in", str(series)]) == 1
+        err = capsys.readouterr().err
+        assert f"{series}:{lineno}:" in err
+    # one header line and blank lines are accepted
+    series.write_text(rows + "\n")
+    assert run_cli(["estimate", "--method", "perio", "--in", str(series), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
 def test_estimate_methods_cover_wavelets(tmp_path, capsys):
     series = tmp_path / "s.csv"
     run_cli(["simulate", "--model", "mp", "--s", "0.8", "--n", "1024",

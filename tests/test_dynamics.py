@@ -226,6 +226,25 @@ def test_lbp_deep_cell_consistent_with_table():
     assert y > x  # climbs toward the right on the left branch
 
 
+def test_lbp_deep_cells_satisfy_cell_bounds():
+    # below the table, x lies in the cell k with tail(k+1) < x * z <= tail(k)
+    # and is carried affinely onto cell k-1; k is found here independently,
+    # from the asymptotic tail (k + 1/2)**(1 - gamma) / (gamma - 1)
+    rng = np.random.default_rng(31)
+    for gamma in (2.05, 2.25, 2.538, 3.0):
+        bounds, _, z = _lbp_tables(gamma)
+        for x in bounds[_LBP_TABLE_CELLS] * np.exp(rng.uniform(np.log(1e-12), 0.0, 300)):
+            target = x * z
+            k = int((target * (gamma - 1.0)) ** (-1.0 / (gamma - 1.0)) - 0.5)
+            while tail_sum(gamma, k + 1) >= target:
+                k += 1
+            while tail_sum(gamma, k) < target:
+                k -= 1
+            assert k >= _LBP_TABLE_CELLS
+            left, right = tail_sum(gamma, k + 1) / z, tail_sum(gamma, k) / z
+            assert lbp_step(gamma, x) == right + ((k + 1.0) / k) ** gamma * (x - left)
+
+
 def test_lbp_step_rejects_outside_unit():
     with pytest.raises(ValueError):
         lbp_step(3.0, 1.5)

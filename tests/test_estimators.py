@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,19 +14,17 @@ from mplm.estimators import (
     holder_from_ordinates,
     memory_from_s,
     ols_slope,
-    p_estimate,
     parzen_estimate,
     perio_estimate,
     s_from_memory,
     s_from_spectral_ordinates,
-    sp_estimate,
     varmp_estimate,
     varmp_from_block_variance,
     vpmp_estimate,
     vpmp_from_variances,
     wmp_from_ladder,
 )
-from mplm.wavelet import WaveletLadder
+from mplm.wavelet import TruncationWarning, WaveletLadder
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +178,40 @@ def test_regression_methods_are_scale_invariant(mp_series):
         assert_allclose(other.s_hat, base.s_hat, atol=1e-10)
 
 
+def test_estimate_rejects_unknown_config_key(mp_series):
+    for method in METHOD_NAMES:
+        with pytest.raises(TypeError):
+            estimate(mp_series.values, method, block_exponent_typo=0.5)
+    for method in set(METHOD_NAMES) - {"varmp"}:
+        with pytest.raises(TypeError):
+            estimate(mp_series.values, method, block_exponent=0.5)
+
+
+def test_estimate_fixed_arguments_cannot_be_overridden(mp_series):
+    overrides = {"method": "perio", "band": RegressionBand(0.6), "basis": "mexhat",
+                 "smoothing": "parzen"}
+    for method in METHOD_NAMES:
+        for key, value in overrides.items():
+            if key == "band" and method in ("perio", "parzen"):
+                continue  # the regression band is a tuning key of these two
+            with pytest.raises(TypeError):
+                estimate(mp_series.values, method, **{key: value})
+
+
+def test_estimate_non_finite_input_is_invalid(mp_series):
+    for bad in (np.nan, np.inf, -np.inf):
+        x = mp_series.values.copy()
+        x[100] = bad
+        for method in METHOD_NAMES:
+            result = estimate(x, method)
+            assert result.method == method
+            assert not result.valid
+            assert np.isnan(result.s_hat)
+            assert "non-finite" in result.reason
+    with pytest.raises(TypeError):
+        estimate(x, "wmp-haar", block_exponent=0.5)
+
+
 def test_perio_needs_sixteen_points():
     with pytest.raises(ValueError):
         perio_estimate(np.ones(8))
@@ -223,11 +257,11 @@ def test_vpmp_iid_bernoulli_near_half():
 
 
 def test_holder_pipeline_and_averaging(mp_series):
-    single = p_estimate(mp_series.values)
+    single = estimate(mp_series.values, "p")
     assert single.points_used == 1
-    averaged = p_estimate(mp_series.values, average_count=5)
+    averaged = estimate(mp_series.values, "p", average_count=5)
     assert averaged.points_used == 5
-    smoothed = sp_estimate(mp_series.values)
+    smoothed = estimate(mp_series.values, "sp")
     assert smoothed.method == "sp"
     assert smoothed.diagnostics["origin_ordinate"] > 0.0
     with pytest.raises(ValueError):
@@ -259,3 +293,65 @@ def test_regression_band_validation():
         RegressionBand(1.0)
     assert RegressionBand(0.5).size(10_000) == 100
     assert RegressionBand(0.7).size(10_000) == 630
+
+
+# ---------------------------------------------------------------------------
+# golden values: every method on fixed mp series, recorded before the method
+# table replaced the dispatch chain
+# ---------------------------------------------------------------------------
+
+# (N, s, seed) -> method -> (s_hat, valid, points_used); N = 30000 is not a
+# power of two, so the wavelet methods truncate it to 16384 samples
+GOLDEN = {
+    (4096, 0.8, 101): {
+        "perio": (0.6304862196333396, True, 64),
+        "parzen": (0.6250830881314695, True, 64),
+        "cos1": (0.5663803188455798, True, 64),
+        "cos2": (0.629952888614543, True, 337),
+        "varmp": (0.5742193544110921, True, 12),
+        "vpmp": (0.6099914023745237, True, 10),
+        "wmp-haar": (1.0095388558185299, True, 8),
+        "wmp-mexhat": (0.7936856705959187, True, 8),
+        "p": (0.4239021938634842, True, 1),
+        "sp": (0.40653345995521434, True, 1),
+    },
+    (30000, 0.7, 102): {
+        "perio": (0.7470520297107021, True, 173),
+        "parzen": (0.7325804860507585, True, 173),
+        "cos1": (0.5998866700081426, True, 173),
+        "cos2": (0.6265535850457231, True, 1361),
+        "varmp": (0.6532046166690259, True, 22),
+        "vpmp": (0.7086079171320455, True, 10),
+        "wmp-haar": (0.8771111434399106, True, 10),
+        "wmp-mexhat": (0.7624230424667956, True, 10),
+        "p": (0.4772549796329258, True, 1),
+        "sp": (0.4868107755439577, True, 1),
+    },
+    (32768, 0.9, 103): {
+        "perio": (0.8729773119500193, True, 181),
+        "parzen": (0.8532509663779541, True, 181),
+        "cos1": (0.6327596923971207, True, 181),
+        "cos2": (0.6412072443851736, True, 1448),
+        "varmp": (0.6972031642686373, True, 22),
+        "vpmp": (0.7737635086246152, True, 10),
+        "wmp-haar": (0.9322567217979657, True, 11),
+        "wmp-mexhat": (0.9339777998599931, True, 11),
+        "p": (0.5255203428281999, True, 1),
+        "sp": (0.4844632665666576, True, 1),
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_estimates(key):
+    n, s, seed = key
+    x = simulate_mp(s, n, seed=seed, burn_in=0).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        results = {method: estimate(x, method) for method in METHOD_NAMES}
+    assert set(GOLDEN[key]) == set(METHOD_NAMES)
+    for method, (s_hat, valid, points_used) in GOLDEN[key].items():
+        result = results[method]
+        assert result.valid is valid, method
+        assert result.points_used == points_used, method
+        assert abs(result.s_hat - s_hat) <= 1e-12, method
