@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +46,6 @@ class ExperimentSpec:
     model: str = "mp"
     observable: ObservableSpec = ObservableSpec()
     burn_in: int = 10_000
-    estimator_config: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if self.replications < 1:
@@ -119,11 +117,10 @@ def _run_cell(spec: ExperimentSpec, s: float, n: int, method: str) -> McSummary:
     seeds = [replication_seed(spec.base_seed, spec.model, s, n, method, r)
              for r in range(spec.replications)]
     rows = _simulate_cell(spec, s, n, seeds)
-    config = dict(spec.estimator_config.get(method, {}))
     valid = []
     invalid = 0
     for row in rows:
-        result = estimate(row, method, **config)
+        result = estimate(row, method)
         if result.valid and np.isfinite(result.s_hat):
             valid.append(result.s_hat)
         else:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 
 from mplm.cli import main
+from mplm.estimators import METHOD_NAMES
 
 
 def run_cli(args):
@@ -206,3 +208,141 @@ def test_invalid_estimate_reported_not_crashed(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["valid"] is False
     assert doc["reason"]
+
+
+def test_estimate_flags_reach_the_method(tmp_path, capsys):
+    # the methods that take each flag; any other exits 1 naming flag and method
+    takes = {"--block-exponent": ("varmp",), "--freq-index": ("p", "sp")}
+    series = tmp_path / "s.csv"
+    run_cli(["simulate", "--model", "mp", "--s", "0.8", "--n", "1024",
+             "--seed", "9", "--burn-in", "0", "--out", str(series)])
+    capsys.readouterr()
+    for flag, value, key in (("--block-exponent", "0.5", "block_exponent"),
+                             ("--freq-index", "3", "freq_index")):
+        for method in METHOD_NAMES:
+            rc = run_cli(["estimate", "--method", method, "--in", str(series), flag, value])
+            err = capsys.readouterr().err
+            if method in takes[flag]:
+                assert rc == 0, (method, flag)
+                assert str(json.loads(err)["parameters"][key]) == value
+            else:
+                assert rc == 1, (method, flag)
+                assert flag in err and method in err
+
+
+def test_spec_file_rejects_unknown_keys(tmp_path, capsys):
+    for typo in ("replicatons=3", "r=3"):
+        spec = tmp_path / "run.spec"
+        spec.write_text(f"s=0.8\nn=256\nmethods=perio\n{typo}\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir),
+                        "--threads", "1"]) == 1
+        key = typo.split("=")[0]
+        assert f"{spec}:4: unknown spec key {key!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def test_env_values_checked_like_flags(tmp_path, monkeypatch, capsys):
+    series = tmp_path / "s.csv"
+    run_cli(["simulate", "--model", "mp", "--s", "0.8", "--n", "1024",
+             "--seed", "9", "--burn-in", "0", "--out", str(series)])
+    cases = (("MPLM_MODEL", ["simulate", "--s", "0.5", "--n", "8"]),
+             ("MPLM_SMOOTH", ["spectrum", "--in", str(series)]),
+             ("MPLM_METHOD", ["estimate", "--in", str(series)]),
+             ("MPLM_PRESET", ["montecarlo", "--out-dir", str(tmp_path / "mc")]))
+    for key, argv in cases:
+        with monkeypatch.context() as patch:
+            patch.setenv(key, "bogus")
+            assert run_cli(argv) == 1, key
+        assert "bogus" in capsys.readouterr().err
+    # a false MPLM_JSON leaves the plain one-line report on
+    monkeypatch.setenv("MPLM_JSON", "0")
+    assert run_cli(["estimate", "--method", "perio", "--in", str(series)]) == 0
+    assert capsys.readouterr().out.startswith("perio: s_hat=")
+
+
+# ---------------------------------------------------------------------------
+# golden CLI runs, recorded before the parser took over the MPLM_ fallback
+# ---------------------------------------------------------------------------
+
+# name -> (argv, environment, output files, manifest file or None for stderr);
+# "{tmp}" stands for the test's temporary directory, and the calls run in
+# order because spectrum and estimate read the series simulate writes
+GOLDEN_CALLS = {
+    "simulate": (["simulate", "--model", "lbp", "--gamma", "2.5", "--n", "2048",
+                  "--seed", "5", "--burn-in", "10", "--out", "{tmp}/lbp.csv"],
+                 {}, ("lbp.csv",), "lbp.csv.manifest.json"),
+    "spectrum": (["spectrum", "--in", "{tmp}/lbp.csv", "--smooth", "parzen",
+                  "--out", "{tmp}/spec.csv"],
+                 {}, ("spec.csv",), "spec.csv.manifest.json"),
+    "estimate": (["estimate", "--in", "{tmp}/lbp.csv", "--method", "p",
+                  "--freq-index", "2", "--json"],
+                 {}, (), None),
+    "appendixb": (["appendixb", "--s", "0.8", "--grid", "512,128,1024,256", "--reps", "50",
+                   "--seed", "4", "--burn-in", "100", "--out", "{tmp}/scaling.csv"],
+                  {}, ("scaling.csv",), "scaling.csv.manifest.json"),
+    "montecarlo": (["montecarlo", "--preset", "table53", "--scale", "0.02",
+                    "--threads", "1", "--out-dir", "{tmp}/mc"],
+                   {}, ("mc/table53.csv",), "mc/manifest.json"),
+    "simulate-env": (["simulate", "--model", "mp", "--s", "0.7", "--seed", "3"],
+                     {"MPLM_N": "8", "MPLM_INTERVAL": "0.2,0.8", "MPLM_JSON": "1"},
+                     (), None),
+}
+
+
+def golden_record(name, tmp_path, monkeypatch, capsys):
+    """Exit code, stdout, BLAKE2b digest of each output file, and the manifest
+    without its clock fields, with the temporary directory as "<tmp>"."""
+    argv, env, files, manifest = GOLDEN_CALLS[name]
+    with monkeypatch.context() as patch:
+        for key, value in env.items():
+            patch.setenv(key, value)
+        rc = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    captured = capsys.readouterr()
+    text = captured.err if manifest is None else (tmp_path / manifest).read_text()
+    doc = json.loads(text.replace(str(tmp_path), "<tmp>"))
+    for key in ("started_utc", "finished_utc", "wall_seconds"):
+        doc.pop(key, None)
+    digests = {f: hashlib.blake2b((tmp_path / f).read_bytes(), digest_size=16).hexdigest()
+               for f in files}
+    return rc, captured.out, digests, doc
+
+
+GOLDEN_RUNS = {
+    "simulate": (0, "", {"lbp.csv": "ee32b35e5642e8713e97994db437fdef"}, {
+        "parameters": {"burn_in": 10, "gamma": 2.5, "interval": [0.1, 0.9], "model": "lbp",
+                       "n": 2048, "out": "<tmp>/lbp.csv"},
+        "seed": 5, "subcommand": "simulate", "tool_version": "0.1.0"}),
+    "spectrum": (0, "", {"spec.csv": "e9a84532931e83fe55902aff715ef921"}, {
+        "parameters": {"in": "<tmp>/lbp.csv", "m": 955, "out": "<tmp>/spec.csv",
+                       "smooth": "parzen"},
+        "seed": None, "subcommand": "spectrum", "tool_version": "0.1.0"}),
+    "estimate": (0,
+                 '{"diagnostics": {"freq_indices": [2], "origin_ordinate": 0.0}, '
+                 '"method": "p", "points_used": 1, "reason": null, '
+                 '"s_hat": 0.48413404341300253, "slope": 0.06554365181653887, '
+                 '"valid": true}\n',
+                 {}, {
+        "parameters": {"freq_index": 2, "in": "<tmp>/lbp.csv", "method": "p"},
+        "seed": None, "subcommand": "estimate", "tool_version": "0.1.0"}),
+    "appendixb": (0, "", {"scaling.csv": "a6a5f6eabde0ef68118e07eff1107708"}, {
+        "parameters": {"burn_in": 100, "grid": [128, 256, 512, 1024],
+                       "out": "<tmp>/scaling.csv", "reps": 50, "s": 0.8},
+        "seed": 4, "subcommand": "appendixb", "tool_version": "0.1.0"}),
+    "montecarlo": (0, "", {"mc/table53.csv": "5062b1fb8aff8bfbe6389d24b6be169d"}, {
+        "output_csv": "<tmp>/mc/table53.csv",
+        "parameters": {"burn_in": 0, "methods": ["wmp-haar", "wmp-mexhat"], "model": "mp",
+                       "n_values": [8192, 16384, 32768], "out_dir": "<tmp>/mc",
+                       "preset": "table53", "replications": 1, "s_values": [0.65, 0.8],
+                       "scale": 0.02, "spec": None, "threads": 1},
+        "seed": 12345, "subcommand": "montecarlo", "tool_version": "0.1.0"}),
+    "simulate-env": (0, "t,x\n0,1\n1,1\n2,0\n3,0\n4,0\n5,0\n6,0\n7,0\n", {}, {
+        "parameters": {"burn_in": 10000, "interval": [0.2, 0.8], "model": "mp", "n": 8,
+                       "out": None, "s": 0.7},
+        "seed": 3, "subcommand": "simulate", "tool_version": "0.1.0"}),
+}
+
+
+def test_golden_cli_runs(tmp_path, monkeypatch, capsys):
+    for name in GOLDEN_CALLS:
+        assert golden_record(name, tmp_path, monkeypatch, capsys) == GOLDEN_RUNS[name], name
