@@ -34,6 +34,8 @@ from ._zeta import partial_sums, tail_sum, zeta_value
 
 # Consecutive identical iterates before a laminar-freeze diagnostic fires.
 STALL_LIMIT = 10_000
+# Time steps per block of the orbit buffer in ``_iterate_map``.
+_STEP_BUFFER = 256
 
 _LBP_TABLE_CELLS = 100_000
 _ZIPF_TABLE_SIZE = 100_000
@@ -191,30 +193,50 @@ def mp_branch_point(s: float) -> float:
 
 def _iterate_map(step_batch, x0: np.ndarray, n: int, burn_in: int,
                  observable: ObservableSpec) -> np.ndarray:
-    """Drive a vector of states, recording indicator output after burn-in."""
+    """Drive a vector of states, recording indicator output after burn-in.
+
+    State t + 1 of each row is ``step_batch`` of state t, and only the
+    start point depends on the row, so a row's series is a bit-identical
+    function of its start point and the parameters, whatever the batch
+    width.  The orbit is stepped into a time-major buffer of
+    ``_STEP_BUFFER`` steps and the observable runs once per buffer.
+
+    ``StallWarning`` fires once per call when any row repeats one state
+    for ``STALL_LIMIT`` consecutive steps.  The step is deterministic, so
+    a row with ``step(x) == x`` stays frozen: its first repeat decides
+    whether the run is long enough for the frozen tail to reach the limit.
+    """
     reps = x0.size
     out = np.empty((reps, n))
-    x = x0.copy()
-    stall = np.zeros(reps, dtype=np.int64)
-    stalled = False
     total = burn_in + n
-    for t in range(total):
-        if t >= burn_in:
-            out[:, t - burn_in] = observable.indicate(x)
-        if t == total - 1:
-            break
-        y = step_batch(x)
-        if not stalled:
-            stall = np.where(y == x, stall + 1, 0)
-            if np.any(stall >= STALL_LIMIT):
-                warnings.warn(
-                    f"orbit numerically frozen: {STALL_LIMIT} consecutive identical "
-                    "iterates (laminar excursion below 64-bit resolution)",
-                    StallWarning,
-                    stacklevel=3,
-                )
-                stalled = True
-        x = y
+    buf = np.empty((_STEP_BUFFER + 1, reps))
+    buf[0] = x0
+    first_unrecorded = burn_in
+    # the last step at which a first repeat still leaves STALL_LIMIT steps
+    last_stall_start = total - STALL_LIMIT
+    for t in range(0, max(total - 1, 1), _STEP_BUFFER):
+        # buf[0] is state t; the buffer holds states t .. t + k
+        k = min(_STEP_BUFFER, total - 1 - t)
+        for i in range(k):
+            buf[i + 1] = step_batch(buf[i])
+        if t < last_stall_start:
+            frozen = buf[k] == buf[k - 1]
+            if frozen.any():
+                repeats = buf[1:k + 1, frozen] == buf[:k, frozen]
+                if t + 1 + repeats.argmax(axis=0).min() <= last_stall_start:
+                    warnings.warn(
+                        f"orbit numerically frozen: {STALL_LIMIT} consecutive identical "
+                        "iterates (laminar excursion below 64-bit resolution)",
+                        StallWarning,
+                        stacklevel=3,
+                    )
+                # a later first repeat leaves fewer steps: stop checking
+                last_stall_start = t
+        if first_unrecorded <= t + k:
+            out[:, first_unrecorded - burn_in:t + k + 1 - burn_in] = \
+                observable.indicate(buf[first_unrecorded - t:k + 1]).T
+            first_unrecorded = t + k + 1
+        buf[0] = buf[k]
     return out
 
 
@@ -234,8 +256,10 @@ def simulate_mp_batch(s: float, n: int, seeds, burn_in: int = 10_000,
     e = 1.0 + s
 
     def step(x):
-        y = x + x**e
-        return np.where(y > 1.0, y - 1.0, y)
+        y = x**e
+        y += x
+        y -= y > 1.0  # the wrap, as y - 1.0 or y - 0.0
+        return y
 
     return _iterate_map(step, x0, n, burn_in, observable)
 
@@ -287,6 +311,25 @@ def lbp_cell_bounds(gamma: float, k: int) -> tuple[float, float]:
     return float(left), float(right)
 
 
+@lru_cache(maxsize=32)
+def _lbp_branch_table(gamma: float):
+    """The affine branches of the map, indexed by search position in ``edges``.
+
+    ``edges`` is the ascending boundary table without its final 1, so
+    position i in 1..K-1 is cell K - i with right endpoint ``right[i]``,
+    slope ``slope[i]`` and left endpoint ``edges[i - 1]``.  Position K is
+    cell 0, carried onto (0, 1) as ``0 + zeta(gamma) * (x - c[1])``.
+    """
+    _, ascending, z = _lbp_tables(gamma)
+    right = ascending.copy()
+    right[-1] = 0.0
+    k = np.arange(_LBP_TABLE_CELLS, 0, -1)
+    slope = np.append(((k + 1.0) / k) ** gamma, z)
+    right.setflags(write=False)
+    slope.setflags(write=False)
+    return ascending[:-1], right, slope
+
+
 def _lbp_find_cells(gamma: float, x: np.ndarray):
     bounds, ascending, z = _lbp_tables(gamma)
     idx = np.searchsorted(ascending, x, side="left")
@@ -328,25 +371,14 @@ def simulate_lbp_batch(gamma: float, n: int, seeds, burn_in: int = 10_000,
     if burn_in < 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
     x0 = np.array([make_rng(sd).random() for sd in seeds])
-    bounds, ascending, z = _lbp_tables(gamma)
-    c1 = 1.0 - 1.0 / z
+    edges, right, slope = _lbp_branch_table(gamma)
 
     def step(x):
-        idx = np.searchsorted(ascending, x, side="left")
-        k = _LBP_TABLE_CELLS - idx
-        deep = k >= _LBP_TABLE_CELLS
-        kk = np.clip(k, 1, _LBP_TABLE_CELLS - 1)
-        slope = ((kk + 1.0) / kk) ** gamma
-        y = np.where(
-            k == 0,
-            z * (x - c1),
-            bounds[kk] + slope * (x - bounds[kk + 1]),
-        )
-        y = np.where(x == 0.0, 0.0, y)
-        if np.any(deep):
-            for i in np.nonzero(deep)[0]:
-                if x[i] > 0.0:
-                    y[i] = lbp_step(gamma, float(x[i]))
+        # position 0 is x == 0 or a cell below the table: lbp_step handles it
+        i = np.searchsorted(edges, x, side="left")
+        y = right[i] + slope[i] * (x - edges[i - 1])
+        for r in np.flatnonzero(i == 0):
+            y[r] = lbp_step(gamma, float(x[r]))
         return y
 
     return _iterate_map(step, x0, n, burn_in, observable)

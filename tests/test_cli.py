@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import mplm
 from mplm.cli import main
 from mplm.estimators import METHOD_NAMES
 
@@ -346,3 +351,14 @@ GOLDEN_RUNS = {
 def test_golden_cli_runs(tmp_path, monkeypatch, capsys):
     for name in GOLDEN_CALLS:
         assert golden_record(name, tmp_path, monkeypatch, capsys) == GOLDEN_RUNS[name], name
+
+
+def test_runs_as_a_module():
+    src = str(Path(mplm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for module in ("mplm", "mplm.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "--version"],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, (module, done.stderr)
+        assert done.stdout == f"mplm {mplm.__version__}\n", module

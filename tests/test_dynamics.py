@@ -1,12 +1,19 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
+from mplm import dynamics
 from mplm._seeds import derive_seed
 from mplm._zeta import tail_sum, zeta_value
 from mplm.dynamics import (
     _LBP_TABLE_CELLS,
+    STALL_LIMIT,
+    StallWarning,
+    _iterate_map,
     _lbp_tables,
     BinarySeries,
     MapParams,
@@ -147,6 +154,55 @@ def test_frozen_orbit_raises_stall_diagnostic():
         _iterate_map(step, np.array([1e-300]), 0, 10_002, ObservableSpec())
 
 
+def _stall_warnings(step, x0, n, burn_in):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _iterate_map(step, np.array(x0), n, burn_in, ObservableSpec())
+    return sum(issubclass(w.category, StallWarning) for w in caught)
+
+
+def _underflowing_step(x):
+    y = x + x**2.0
+    return np.where(y > 1.0, y - 1.0, y)
+
+
+@pytest.mark.parametrize("x0", [1e-300, 0.0])
+def test_stall_warning_fires_past_the_limit_only(x0):
+    # burn_in + n states take burn_in + n - 1 steps; the warning needs
+    # STALL_LIMIT identical iterates in a row
+    for n, burn_in in ((0, STALL_LIMIT), (STALL_LIMIT, 0), (300, STALL_LIMIT - 300)):
+        assert _stall_warnings(_underflowing_step, [x0], n, burn_in) == 0
+    for n, burn_in in ((0, STALL_LIMIT + 1), (STALL_LIMIT + 1, 0), (257, STALL_LIMIT - 256),
+                       (1000, 3 * STALL_LIMIT)):
+        assert _stall_warnings(_underflowing_step, [x0], n, burn_in) == 1
+
+
+def test_stall_warning_once_per_call_for_many_frozen_rows():
+    x0 = [1e-300, 0.3, 0.0, 1e-300, 0.7]
+    assert _stall_warnings(_underflowing_step, x0, 500, STALL_LIMIT) == 1
+    assert _stall_warnings(_underflowing_step, x0, 500, STALL_LIMIT - 501) == 0
+
+
+def test_stall_warning_counts_a_frozen_tail_from_its_first_repeat():
+    def creep(x):
+        return np.where(x < 0.5, x + 0.01, x)
+
+    def moving_steps(x):
+        steps = 0
+        while x < 0.5:
+            x, steps = x + 0.01, steps + 1
+        return steps
+
+    # a row moves for some steps, then repeats its state on every later
+    # one; the first row to freeze decides
+    for x0 in ([0.0], [0.0, -0.5], [-0.5, 0.25, 0.3]):
+        states = min(map(moving_steps, x0)) + STALL_LIMIT
+        assert _stall_warnings(creep, x0, 100, states - 100) == 0
+        assert _stall_warnings(creep, x0, 100, states + 1 - 100) == 1
+        assert _stall_warnings(creep, x0, states + 1, 0) == 1
+        assert _stall_warnings(creep, x0, states, 0) == 0
+
+
 def test_binary_series_validation():
     with pytest.raises(ValueError):
         BinarySeries(np.array([0.0, 0.5]), MapParams.mp(0.8), ObservableSpec(), 0, 0)
@@ -257,6 +313,80 @@ def test_simulate_lbp_deterministic_binary():
     b = simulate_lbp(2.25, 400, seed=21, burn_in=100)
     assert np.array_equal(a.values, b.values)
     assert set(np.unique(a.values)) <= {0.0, 1.0}
+
+
+# ---------------------------------------------------------------------------
+# golden simulator output
+# ---------------------------------------------------------------------------
+
+# BLAKE2b digests of the float64 output bytes, recorded from the one-step-
+# at-a-time iterator.  Keys: (simulator, exponent, n, burn_in, rows), seeds
+# 9, 10, ...; the lengths straddle 256 and the burn-ins put step-buffer
+# edges inside the burn-in and inside the recording.  The 40-row lbp runs
+# at gamma 2.05 visit the cells below the branch table (16,545 steps).
+GOLDEN_SIMULATIONS = {
+    ("simulate_mp_batch", 0.3, 1, 0, 3): "1793af6638cf27ebfd889de4bb4f4413",
+    ("simulate_lbp_batch", 2.05, 1, 0, 3): "1793af6638cf27ebfd889de4bb4f4413",
+    ("simulate_mp_batch", 0.65, 1, 300, 3): "1793af6638cf27ebfd889de4bb4f4413",
+    ("simulate_lbp_batch", 2.25, 1, 300, 3): "941e0c502c87478811f1b6a130227018",
+    ("simulate_mp_batch", 0.8, 1, 10000, 3): "5bc0fb0571de6de989142a9eccbcdfb0",
+    ("simulate_lbp_batch", 2.538, 1, 10000, 3): "5bc0fb0571de6de989142a9eccbcdfb0",
+    ("simulate_mp_batch", 1.3, 7, 0, 3): "c0bab534e8a6196354092f3d5aeea1b1",
+    ("simulate_lbp_batch", 3.0, 7, 0, 3): "67f93fe7d1fbe56804d3359cb1c8546a",
+    ("simulate_mp_batch", 3.0, 7, 300, 3): "a988dec1698efde0ab141a6be8924afb",
+    ("simulate_lbp_batch", 2.05, 7, 300, 3): "df938566119e7c946431a2447fd40032",
+    ("simulate_mp_batch", 0.3, 7, 10000, 3): "466dd3b7012e7e482b6fa8db5a087aeb",
+    ("simulate_lbp_batch", 2.25, 7, 10000, 3): "0d4514e025fffa5e7f650ebd52de7360",
+    ("simulate_mp_batch", 0.65, 255, 0, 3): "a5e3b0b71999e3714337170786eab700",
+    ("simulate_lbp_batch", 2.538, 255, 0, 3): "5d42fe31af0100e553093b197d6686d9",
+    ("simulate_mp_batch", 0.8, 255, 300, 3): "206160a3a9b68918e43d6c5aaa8ad410",
+    ("simulate_lbp_batch", 3.0, 255, 300, 3): "f657327d48d255a1825beb0f3d9f7ae8",
+    ("simulate_mp_batch", 1.3, 255, 10000, 3): "f3ed6ef1b03b4b0823e98095481d41ee",
+    ("simulate_lbp_batch", 2.05, 255, 10000, 3): "fb9921c526f8d1dc2ce0bd05b405df78",
+    ("simulate_mp_batch", 3.0, 256, 0, 3): "8482d15df2f54989d57ba656af965644",
+    ("simulate_lbp_batch", 2.25, 256, 0, 3): "d9b8a62cc2acf94860e94c7cce681e38",
+    ("simulate_mp_batch", 0.3, 256, 300, 3): "2272b614537213d2e03d78af336356af",
+    ("simulate_lbp_batch", 2.538, 256, 300, 3): "adc8d1fe71e43db9d5b1de7cd1e4efea",
+    ("simulate_mp_batch", 0.65, 256, 10000, 3): "f95a67a7a02ebf6e7fcb3af339c5196a",
+    ("simulate_lbp_batch", 3.0, 256, 10000, 3): "51a2ede69fa6e6d872d0d99e2ded0f27",
+    ("simulate_mp_batch", 0.8, 257, 0, 3): "0e193319c2a8df385402150488b195bf",
+    ("simulate_lbp_batch", 2.05, 257, 0, 3): "097ddc2aaa8b522855a6d71ae820b882",
+    ("simulate_mp_batch", 1.3, 257, 300, 3): "6a25c5b8073d47a32d576993bd278fae",
+    ("simulate_lbp_batch", 2.25, 257, 300, 3): "21a0a9a4e9737365c76e1df6bcd9251d",
+    ("simulate_mp_batch", 3.0, 257, 10000, 3): "dd8b8bbb0599a07024cd78783cc8c057",
+    ("simulate_lbp_batch", 2.538, 257, 10000, 3): "c388ced92fcde046e408e373227d9a7b",
+    ("simulate_mp_batch", 0.3, 3000, 0, 3): "4b93e5f7842b9bea6c516c8efe3e9a5b",
+    ("simulate_lbp_batch", 3.0, 3000, 0, 3): "e62178492aaac1d9d6d9c0c850280f76",
+    ("simulate_mp_batch", 0.65, 3000, 300, 3): "7a48d7b7f1ce97972bc116daeafe7acf",
+    ("simulate_lbp_batch", 2.05, 3000, 300, 3): "e06ba5dd881301a7911a570f97339eb1",
+    ("simulate_mp_batch", 0.8, 3000, 10000, 3): "8f00889fa060300ce44583cb1b3136f9",
+    ("simulate_lbp_batch", 2.25, 3000, 10000, 3): "b54ea967174348e9fafedeb1d67fc1dd",
+    ("simulate_lbp_batch", 2.05, 20000, 0, 40): "2b5b0fc6ae2e064807361e74468279b5",
+    ("simulate_lbp_batch", 2.25, 20000, 0, 40): "31f9859c6bbab1e0c08e0857bd86c803",
+    ("simulate_mp", 0.3, 257, 300, 1): "d9b7481008dc9c7d7bb876502ab50643",
+    ("simulate_mp", 0.65, 257, 300, 1): "8c570f1717fcfc3303ebd65333e5310e",
+    ("simulate_mp", 0.8, 257, 300, 1): "92050d37df6764958ed1bccd404f7e69",
+    ("simulate_mp", 1.3, 257, 300, 1): "73274722f82babe95f4d43f14ad98648",
+    ("simulate_mp", 3.0, 257, 300, 1): "fcc59deb4b41079d212f0a1f4bd4ecf9",
+    ("simulate_lbp", 2.05, 257, 300, 1): "9a268f6c50bb9659627e018f362696d3",
+    ("simulate_lbp", 2.25, 257, 300, 1): "0aa2914e3f8e830325e1a3b51f3cfc45",
+    ("simulate_lbp", 2.538, 257, 300, 1): "a003c11012306e61835c9c6f779f7531",
+    ("simulate_lbp", 3.0, 257, 300, 1): "f256e1daefa3a3f2608f360a1cb1449e",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_SIMULATIONS))
+def test_golden_simulations(key):
+    name, exponent, n, burn_in, rows = key
+    simulator = getattr(dynamics, name)
+    seeds = list(range(9, 9 + rows))
+    if name.endswith("_batch"):
+        values = simulator(exponent, n, seeds, burn_in=burn_in)
+    else:
+        values = simulator(exponent, n, seeds[0], burn_in=burn_in).values
+    assert values.shape == ((rows, n) if name.endswith("_batch") else (n,))
+    digest = hashlib.blake2b(values.tobytes(), digest_size=16).hexdigest()
+    assert digest == GOLDEN_SIMULATIONS[key]
 
 
 # ---------------------------------------------------------------------------
