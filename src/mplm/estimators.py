@@ -297,7 +297,7 @@ def holder_estimate(series, smoothing: str = "none", freq_index: int = 1,
     ``smoothing="parzen"`` replaces the periodogram by the smoothed
     spectrum, whose frequency-0 ordinate is genuinely nonzero.  Uses the
     single Fourier index ``freq_index`` by default; ``average_count=J``
-    instead averages the estimate over j = 1..J.
+    instead averages the estimate over j = 1..J, for 1 <= J < N // 2.
     """
     if smoothing not in ("none", "parzen"):
         raise ValueError(f"smoothing must be 'none' or 'parzen', got {smoothing!r}")
@@ -305,6 +305,8 @@ def holder_estimate(series, smoothing: str = "none", freq_index: int = 1,
     n = x.size
     if not 1 <= freq_index < n // 2:
         raise ValueError(f"frequency index must lie in [1, {n // 2}), got {freq_index}")
+    if average_count is not None and not 1 <= average_count < n // 2:
+        raise ValueError(f"average count must lie in [1, {n // 2}), got {average_count}")
     method = "p" if smoothing == "none" else "sp"
     # both spectra center the series themselves
     if smoothing == "none":
@@ -314,7 +316,7 @@ def holder_estimate(series, smoothing: str = "none", freq_index: int = 1,
         spectrum = smoothed_periodogram(x, LagWindowSpec("parzen", default_truncation(n)))
         origin = spectrum.zero_frequency_ordinate()
 
-    indices = np.arange(1, average_count + 1) if average_count else np.array([freq_index])
+    indices = np.array([freq_index]) if average_count is None else np.arange(1, average_count + 1)
     exponents = []
     for j in indices:
         a, ok = holder_from_ordinates(origin, float(spectrum.ordinates[j - 1]),

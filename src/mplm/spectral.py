@@ -87,21 +87,48 @@ def default_truncation(n: int) -> int:
     return int(math.floor(n**0.9 + 1e-9))
 
 
+def _fft_length(target: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= target, a length numpy's FFT does fast."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _on_grid(half: np.ndarray, n: int) -> np.ndarray:
+    """Mirror values at h = 0..n//2 (an rfft of real input) onto h = 1..n.
+
+    A real series' transform has f(n - h) = conj f(h), so a real function of
+    it takes the same value at h and n - h; h = n aliases h = 0.
+    """
+    return np.concatenate([half[1:], half[(n - 1) // 2:0:-1], half[:1]])
+
+
 def sample_acv(series, max_lag: int) -> AcvEstimate:
     """Biased sample autocovariance up to max_lag.
 
     gamma_hat(h) = (1/N) sum_{t<N-h} (x_t - xbar)(x_{t+h} - xbar).  The 1/N
     divisor keeps the sequence nonnegative definite, which the lag-window
     spectra rely on.
+
+    The sums come from one FFT of the series zero-padded to the smallest
+    2**a * 3**b * 5**c >= N + max_lag + 1.  A length-L transform gives the
+    circular autocovariance, whose lag h adds the lag L - h term; that term
+    is zero whenever L - h >= N, i.e. for every h <= max_lag.
     """
     x = series_values(series)
     n = x.size
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must satisfy 0 <= max_lag < {n}, got {max_lag}")
     xc = x - x.mean()
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    nfft = _fft_length(n + max_lag + 1)
     f = np.fft.rfft(xc, n=nfft)
-    acov = np.fft.irfft(f * np.conj(f), n=nfft)[: max_lag + 1] / n
+    acov = np.fft.irfft(f.real**2 + f.imag**2, n=nfft)[: max_lag + 1] / n
     return AcvEstimate(acov, n)
 
 
@@ -117,9 +144,10 @@ def periodogram(series, centered: bool = False) -> Periodogram:
         raise ValueError("periodogram needs at least 2 observations")
     if centered:
         x = x - x.mean()
-    f = np.fft.fft(x)
-    power = (f.real**2 + f.imag**2) / (4.0 * np.pi**2 * n)
-    ordinates = np.concatenate([power[1:], power[:1]])
+    f = np.fft.rfft(x)
+    ordinates = _on_grid((f.real**2 + f.imag**2) / (4.0 * np.pi**2 * n), n)
+    if centered:
+        ordinates[-1] = 0.0  # the transform of the centered series at h = 0 is rounding only
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
     return Periodogram(freqs, ordinates, kind="raw")
 
@@ -150,7 +178,7 @@ def lag_weighted_spectrum(acv: AcvEstimate, weights: np.ndarray, n: int) -> np.n
     """Spectrum ordinates (h = 1..n) from weighted autocovariances.
 
     Computes (1/2pi) [c_0 + 2 sum_k c_k cos(w_h k)] with c_k = w_k *
-    gamma_hat(k), via one length-n FFT.
+    gamma_hat(k), via one length-n real-input FFT.
     """
     m = weights.size - 1
     if m >= n:
@@ -158,11 +186,8 @@ def lag_weighted_spectrum(acv: AcvEstimate, weights: np.ndarray, n: int) -> np.n
     if acv.max_lag < m:
         raise ValueError("autocovariance estimate does not cover the window")
     c = weights * acv.values[: m + 1]
-    padded = np.zeros(n)
-    padded[: m + 1] = c
-    f = np.fft.fft(padded)
-    vals = (2.0 * f.real - c[0]) / (2.0 * np.pi)
-    return np.concatenate([vals[1:], vals[:1]])
+    f = np.fft.rfft(c, n=n)
+    return _on_grid((2.0 * f.real - c[0]) / (2.0 * np.pi), n)
 
 
 def smoothed_periodogram(series, spec: LagWindowSpec) -> Periodogram:

@@ -7,8 +7,10 @@ Coefficients of a length-(2**m) series are
 for levels j = 0..m-1 and translations k = 0..2**j - 1: time is rescaled to
 [0, 1), so level j probes blocks of 2**(m-j) consecutive samples.  The Haar
 path is a block-sum pyramid; the Mexican hat is evaluated on its effective
-support |u| <= 8 with strided windows.  Both agree with the direct summation
-of the defining formula, which is kept available as a slow oracle.
+support |u| <= 8 by one matrix product of the zero-padded series, laid out
+in rows of 2**(m-j) samples, with the kernel cut into rows of the same
+length.  Both agree with the direct summation of the defining formula, which
+is kept available as a slow oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,6 +80,15 @@ def _pow2_values(series) -> tuple[np.ndarray, int]:
     return x, m
 
 
+@lru_cache(maxsize=32)
+def _mexhat_kernel(step: int) -> np.ndarray:
+    """psi at the offsets -8*step..8*step in units of 1/step (read-only)."""
+    halfwidth = int(MEXHAT_SUPPORT) * step
+    kernel = psi(WaveletBasis.MEXICAN_HAT, np.arange(-halfwidth, halfwidth + 1) / step)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def _fast_coefficients(x: np.ndarray, m: int, basis: WaveletBasis, levels):
     """Yield the coefficient array of each level in ``levels``."""
     if basis is WaveletBasis.HAAR:
@@ -90,14 +102,24 @@ def _fast_coefficients(x: np.ndarray, m: int, basis: WaveletBasis, levels):
             half = sums[m - j - 1]
             yield 2.0 ** (0.5 * j) * (half[0::2] - half[1::2])
         return
+    # coefficient k is sum_i padded[k*step + i] * kernel[i] over 16*step + 1
+    # taps; with the padded series in rows of step samples and the first
+    # 16*step taps in 16 such rows, taps r*step..(r+1)*step - 1 give entry
+    # (r, k + r) of one matrix product, and the last tap meets row k + 16
+    rows = 2 * int(MEXHAT_SUPPORT)
     for j in map(int, levels):
         step = 1 << (m - j)  # samples per unit shift of the rescaled argument
+        count = 1 << j
         halfwidth = int(MEXHAT_SUPPORT) * step
-        offsets = np.arange(-halfwidth, halfwidth + 1)
-        kernel = psi(WaveletBasis.MEXICAN_HAT, offsets / step)
-        padded = np.concatenate([np.zeros(halfwidth), x, np.zeros(halfwidth)])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, offsets.size)[::step]
-        yield 2.0 ** (0.5 * j) * (windows @ kernel)
+        kernel = _mexhat_kernel(step)
+        padded = np.zeros(x.size + 2 * halfwidth)
+        padded[halfwidth:halfwidth + x.size] = x
+        blocks = padded.reshape(count + rows, step)
+        product = kernel[:-1].reshape(rows, step) @ blocks.T
+        w = blocks[rows:, 0] * kernel[-1]
+        for r in range(rows):
+            w += product[r, r:r + count]
+        yield 2.0 ** (0.5 * j) * w
 
 
 def _coefficients_direct(x: np.ndarray, basis: WaveletBasis, j: int) -> np.ndarray:

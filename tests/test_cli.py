@@ -267,8 +267,13 @@ def test_env_values_checked_like_flags(tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# golden CLI runs, recorded before the parser took over the MPLM_ fallback
+# golden CLI runs, recorded before the parser took over the MPLM_ fallback;
+# the estimator-layer outputs (spectrum file, estimate report, Monte Carlo
+# table) were re-recorded as parsed numbers before the real-input FFT change
 # ---------------------------------------------------------------------------
+
+GOLDEN_TOL = 1e-12  # estimator-layer outputs: relative above 1, absolute below
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # name -> (argv, environment, output files, manifest file or None for stderr);
 # "{tmp}" stands for the test's temporary directory, and the calls run in
@@ -295,9 +300,39 @@ GOLDEN_CALLS = {
 }
 
 
+# outputs compared number by number at GOLDEN_TOL instead of byte for byte
+NUMERIC_FILES = {"spec.csv", "mc/table53.csv"}
+NUMERIC_STDOUT = {"estimate"}
+
+
+def parse_csv(text):
+    """Rows of a CSV file, each cell an int, a float or a string."""
+    def token(cell):
+        for kind in (int, float):
+            try:
+                return kind(cell)
+            except ValueError:
+                pass
+        return cell
+    return [[token(cell) for cell in line.split(",")] for line in text.splitlines()]
+
+
+def close_to(got, want):
+    """Floats agree within GOLDEN_TOL; everything else, types included, exactly."""
+    if isinstance(want, float):
+        return type(got) is float and abs(got - want) <= GOLDEN_TOL * max(1.0, abs(want))
+    if isinstance(want, (list, tuple)):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(map(close_to, got, want)))
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(close_to(got[k], want[k]) for k in want)
+    return type(got) is type(want) and got == want
+
+
 def golden_record(name, tmp_path, monkeypatch, capsys):
-    """Exit code, stdout, BLAKE2b digest of each output file, and the manifest
-    without its clock fields, with the temporary directory as "<tmp>"."""
+    """Exit code, stdout, each output file (a BLAKE2b digest, or its parsed
+    numbers for NUMERIC_FILES), and the manifest without its clock fields,
+    with the temporary directory as "<tmp>"."""
     argv, env, files, manifest = GOLDEN_CALLS[name]
     with monkeypatch.context() as patch:
         for key, value in env.items():
@@ -308,9 +343,11 @@ def golden_record(name, tmp_path, monkeypatch, capsys):
     doc = json.loads(text.replace(str(tmp_path), "<tmp>"))
     for key in ("started_utc", "finished_utc", "wall_seconds"):
         doc.pop(key, None)
-    digests = {f: hashlib.blake2b((tmp_path / f).read_bytes(), digest_size=16).hexdigest()
+    outputs = {f: (parse_csv((tmp_path / f).read_text()) if f in NUMERIC_FILES else
+                   hashlib.blake2b((tmp_path / f).read_bytes(), digest_size=16).hexdigest())
                for f in files}
-    return rc, captured.out, digests, doc
+    out = json.loads(captured.out) if name in NUMERIC_STDOUT else captured.out
+    return rc, out, outputs, doc
 
 
 GOLDEN_RUNS = {
@@ -318,15 +355,15 @@ GOLDEN_RUNS = {
         "parameters": {"burn_in": 10, "gamma": 2.5, "interval": [0.1, 0.9], "model": "lbp",
                        "n": 2048, "out": "<tmp>/lbp.csv"},
         "seed": 5, "subcommand": "simulate", "tool_version": "0.1.0"}),
-    "spectrum": (0, "", {"spec.csv": "e9a84532931e83fe55902aff715ef921"}, {
+    "spectrum": (0, "", {"spec.csv": parse_csv((GOLDEN_DIR / "spec.csv").read_text())}, {
         "parameters": {"in": "<tmp>/lbp.csv", "m": 955, "out": "<tmp>/spec.csv",
                        "smooth": "parzen"},
         "seed": None, "subcommand": "spectrum", "tool_version": "0.1.0"}),
     "estimate": (0,
-                 '{"diagnostics": {"freq_indices": [2], "origin_ordinate": 0.0}, '
-                 '"method": "p", "points_used": 1, "reason": null, '
-                 '"s_hat": 0.48413404341300253, "slope": 0.06554365181653887, '
-                 '"valid": true}\n',
+                 {"diagnostics": {"freq_indices": [2], "origin_ordinate": 0.0},
+                  "method": "p", "points_used": 1, "reason": None,
+                  "s_hat": 0.48413404341300253, "slope": 0.06554365181653887,
+                  "valid": True},
                  {}, {
         "parameters": {"freq_index": 2, "in": "<tmp>/lbp.csv", "method": "p"},
         "seed": None, "subcommand": "estimate", "tool_version": "0.1.0"}),
@@ -334,7 +371,20 @@ GOLDEN_RUNS = {
         "parameters": {"burn_in": 100, "grid": [128, 256, 512, 1024],
                        "out": "<tmp>/scaling.csv", "reps": 50, "s": 0.8},
         "seed": 4, "subcommand": "appendixb", "tool_version": "0.1.0"}),
-    "montecarlo": (0, "", {"mc/table53.csv": "5062b1fb8aff8bfbe6389d24b6be169d"}, {
+    "montecarlo": (0, "", {"mc/table53.csv": [
+        ["s", "N", "method", "mean", "sd", "mse", "invalid"],
+        [0.65, 8192, "wmp-haar", 0.97989228101255288, 0, 0.10882891707166514, 0],
+        [0.65, 8192, "wmp-mexhat", 0.71712450391374161, 0, 0.0045056990256659097, 0],
+        [0.65, 16384, "wmp-haar", 0.90533769237621908, 0, 0.06519733714801268, 0],
+        [0.65, 16384, "wmp-mexhat", 0.70250026361986995, 0, 0.0027562776801558376, 0],
+        [0.65, 32768, "wmp-haar", 0.77763911800346508, 0, 0.016291744444702477, 0],
+        [0.65, 32768, "wmp-mexhat", 0.68180462427143473, 0, 0.001011534125047134, 0],
+        [0.8, 8192, "wmp-haar", 0.96622289567832476, 0, 0.027630051047687221, 0],
+        [0.8, 8192, "wmp-mexhat", 0.8295826714123945, 0, 0.00087513444789370028, 0],
+        [0.8, 16384, "wmp-haar", 1.0001505273163875, 0, 0.040060233585027978, 0],
+        [0.8, 16384, "wmp-mexhat", 0.88357711547187379, 0, 0.0069851342305989172, 0],
+        [0.8, 32768, "wmp-haar", 0.94508160874399083, 0, 0.021048673195744425, 0],
+        [0.8, 32768, "wmp-mexhat", 0.77740831993509607, 0, 0.00051038400815497963, 0]]}, {
         "output_csv": "<tmp>/mc/table53.csv",
         "parameters": {"burn_in": 0, "methods": ["wmp-haar", "wmp-mexhat"], "model": "mp",
                        "n_values": [8192, 16384, 32768], "out_dir": "<tmp>/mc",
@@ -350,7 +400,7 @@ GOLDEN_RUNS = {
 
 def test_golden_cli_runs(tmp_path, monkeypatch, capsys):
     for name in GOLDEN_CALLS:
-        assert golden_record(name, tmp_path, monkeypatch, capsys) == GOLDEN_RUNS[name], name
+        assert close_to(golden_record(name, tmp_path, monkeypatch, capsys), GOLDEN_RUNS[name]), name
 
 
 def test_runs_as_a_module():

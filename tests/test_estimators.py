@@ -270,6 +270,17 @@ def test_holder_pipeline_and_averaging(mp_series):
         holder_estimate(mp_series.values, freq_index=0)
 
 
+def test_holder_rejects_average_count_out_of_range(mp_series):
+    # -1 and 0 once fell through to an empty average (s_hat nan, valid) or to
+    # freq_index; N // 2 and above read mirrored ordinates past Nyquist
+    half = mp_series.n // 2
+    for method in ("p", "sp"):
+        for count in (-1, 0, half, half + 1):
+            with pytest.raises(ValueError, match=rf"average count must lie in \[1, {half}\)"):
+                estimate(mp_series.values, method, average_count=count)
+        assert estimate(mp_series.values, method, average_count=half - 1).points_used == half - 1
+
+
 def test_cos_band_and_default_truncation(mp_series):
     n = mp_series.n
     c1 = cos_estimate(mp_series.values, RegressionBand(0.5))

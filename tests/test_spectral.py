@@ -55,13 +55,20 @@ def test_acv_bounded_by_lag_zero():
 
 
 def test_acv_matches_direct_sum():
+    # the FFT length is the smallest 5-smooth number >= n + max_lag + 1:
+    # 101 + 30 + 1 = 132 pads to 135, 100 + 27 + 1 = 128 and 97 + 46 + 1 = 144
+    # are 5-smooth themselves, 100 + 28 + 1 = 129 is one above, and
+    # max_lag = n - 1 reaches the longest lag there is
     rng = np.random.default_rng(4)
-    x = rng.random(101)
-    xc = x - x.mean()
-    acv = sample_acv(x, 30)
-    for h in range(31):
-        ref = np.sum(xc[: 101 - h] * xc[h:]) / 101
-        assert_allclose(acv.values[h], ref, atol=1e-12)
+    for n, max_lag in ((101, 30), (100, 27), (97, 46), (100, 28), (101, 100), (64, 63),
+                       (2, 1), (1, 0)):
+        x = rng.random(n)
+        xc = x - x.mean()
+        acv = sample_acv(x, max_lag)
+        assert acv.values.size == max_lag + 1
+        for h in range(max_lag + 1):
+            ref = np.sum(xc[: n - h] * xc[h:]) / n
+            assert_allclose(acv.values[h], ref, atol=1e-12, err_msg=f"n={n} h={h}")
 
 
 def test_acv_rejects_bad_lag_and_constant_autocorrelation():
@@ -212,18 +219,22 @@ def test_smoothed_white_noise_is_flat():
 
 
 def test_smoothed_matches_brute_force_cosine_sum():
+    # odd and even n: the real-input FFT is mirrored onto h = 1..n
     rng = np.random.default_rng(10)
-    n, m = 40, 12
-    x = random_binary(rng, n)
-    spec = LagWindowSpec("cosbell", m)
-    f = smoothed_periodogram(x, spec)
-    acv = sample_acv(x, m)
-    w = lag_window_weight(spec, np.arange(m + 1) / m)
-    for h in (1, 2, 7, n // 2, n):
-        omega = 2.0 * np.pi * h / n
-        ref = (w[0] * acv.values[0]
-               + 2.0 * np.sum(w[1:] * acv.values[1:] * np.cos(omega * np.arange(1, m + 1))))
-        assert_allclose(f.ordinates[h - 1], ref / (2.0 * np.pi), atol=1e-12)
+    m = 12
+    for n in (39, 40):
+        x = random_binary(rng, n)
+        for kind in ("parzen", "cosbell"):
+            spec = LagWindowSpec(kind, m)
+            f = smoothed_periodogram(x, spec)
+            acv = sample_acv(x, m)
+            w = lag_window_weight(spec, np.arange(m + 1) / m)
+            for h in range(1, n + 1):
+                omega = 2.0 * np.pi * h / n
+                ref = (w[0] * acv.values[0] + 2.0 * np.sum(
+                    w[1:] * acv.values[1:] * np.cos(omega * np.arange(1, m + 1))))
+                assert_allclose(f.ordinates[h - 1], ref / (2.0 * np.pi), atol=1e-12,
+                                err_msg=f"n={n} {kind} h={h}")
 
 
 def test_smoothed_kind_metadata():

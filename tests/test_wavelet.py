@@ -59,12 +59,13 @@ def test_haar_annihilates_constants_even_uncentered():
 
 def test_fast_paths_match_direct_summation():
     rng = np.random.default_rng(11)
-    x = rng.random(256)
-    for basis in ("haar", "mexhat"):
-        for j in range(8):
-            fast = wavelet_coefficients(x, basis, j)
-            direct = wavelet_coefficients(x, basis, j, method="direct")
-            assert np.max(np.abs(fast - direct)) < 1e-10
+    for n in (64, 256, 2048):
+        x = rng.random(n)
+        for basis in ("haar", "mexhat"):
+            for j in range(n.bit_length() - 1):
+                fast = wavelet_coefficients(x, basis, j)
+                direct = wavelet_coefficients(x, basis, j, method="direct")
+                assert np.max(np.abs(fast - direct)) < 1e-10, (n, basis, j)
 
 
 def test_coefficients_linearity():
