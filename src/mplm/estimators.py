@@ -31,8 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (LagWindowSpec, default_truncation, periodogram, series_values,
-                       smoothed_periodogram)
+from .spectral import (LagWindowSpec, default_truncation, lag_window_band, lag_window_gaps,
+                       periodogram_band, series_values)
+# No estimator calls the full-grid spectra any more.  perfbench/tracer.py
+# and perfbench/selfcheck.py look both names up here, and the selfcheck
+# fails without them; the tracer's spectral.periodogram.* and
+# spectral.smoothed_periodogram.* metrics therefore read 0 on
+# estimate-corpus until the benchmark wraps the band functions instead.
+from .spectral import periodogram, smoothed_periodogram  # noqa: F401
 from .wavelet import WaveletBasis, WaveletLadder, sample_R
 
 ORDINATE_FLOOR = 1e-15  # clamp for nonpositive ordinates ahead of logs
@@ -131,23 +137,28 @@ def s_from_spectral_ordinates(ordinates: np.ndarray, method: str = "perio") -> E
     return EstimateResult(method, 1.0 / (slope + 2.0), slope, g, diagnostics)
 
 
-def _band_estimate(series, method: str, band: RegressionBand, window: str | None = None,
-                   truncation: int | None = None) -> EstimateResult:
-    # log-regression over the band of the raw periodogram (window None) or of
-    # a lag-window spectrum; default truncation floor(N**0.9) for parzen and
-    # floor(N**(1 - alpha)) for the cosine bell
-    x = series_values(series)
-    n = x.size
+def _check_band_length(n: int) -> None:
     if n < 16:
         raise ValueError(f"need at least 16 observations, got {n}")
+
+
+def _band_estimate(series, method: str, band: RegressionBand, window: str | None = None,
+                   truncation: int | None = None) -> EstimateResult:
+    # log-regression over the band of the centred periodogram (window None)
+    # or of a lag-window spectrum; default truncation floor(N**0.9) for
+    # parzen and floor(N**(1 - alpha)) for the cosine bell
+    x = series_values(series)
+    n = x.size
+    _check_band_length(n)
+    g = band.size(n)
     if window is None:
-        spectrum = periodogram(x, centered=True)
+        ordinates = periodogram_band(x, np.arange(1, g + 1))
     else:
         if truncation is None:
             truncation = (default_truncation(n) if window == "parzen" else
                           max(2, int(math.floor(n ** (1.0 - band.alpha) + 1e-9))))
-        spectrum = smoothed_periodogram(x, LagWindowSpec(window, truncation))
-    result = s_from_spectral_ordinates(spectrum.ordinates[:band.size(n)], method)
+        ordinates = lag_window_band(x, LagWindowSpec(window, truncation), g)
+    result = s_from_spectral_ordinates(ordinates, method)
     result.diagnostics["band_alpha"] = band.alpha
     if window is not None:
         result.diagnostics["truncation"] = truncation
@@ -191,17 +202,21 @@ def varmp_from_block_variance(vhat: float, block_length: int,
                           {"block_length": block_length, "block_variance": vhat})
 
 
-def varmp_estimate(series, block_exponent: float = 0.7) -> EstimateResult:
-    """Variance of disjoint block sums at a single block length N**theta."""
-    x = series_values(series)
-    n = x.size
+def _block_layout(n: int, block_exponent: float = 0.7) -> tuple[int, int]:
+    # (block length floor(N**theta), number of disjoint blocks)
     if not 0.0 < block_exponent < 1.0:
         raise ValueError(f"block exponent must lie in (0, 1), got {block_exponent}")
     ell = int(math.floor(n**block_exponent + 1e-9))
-    blocks = n // ell
-    if ell < 2 or blocks < 8:
+    if ell < 2 or n // ell < 8:
         raise ValueError(
             f"series too short for 8 disjoint blocks of length {ell} (n={n})")
+    return ell, n // ell
+
+
+def varmp_estimate(series, block_exponent: float = 0.7) -> EstimateResult:
+    """Variance of disjoint block sums at a single block length N**theta."""
+    x = series_values(series)
+    ell, blocks = _block_layout(x.size, block_exponent)
     sums = x[: blocks * ell].reshape(blocks, ell).sum(axis=1)
     vhat = float(sums.var(ddof=1))
     result = varmp_from_block_variance(vhat, ell)
@@ -214,7 +229,10 @@ def default_block_grid(n: int, sizes: int = 10) -> np.ndarray:
     """Geometric grid of block lengths between N**0.3 and N**0.7."""
     lo = max(2, int(math.floor(n**0.3 + 1e-9)))
     hi = max(lo + sizes, int(math.floor(n**0.7 + 1e-9)))
-    grid = np.unique(np.floor(np.exp(np.linspace(math.log(lo), math.log(hi), sizes))).astype(int))
+    raw = np.floor(np.exp(np.linspace(math.log(lo), math.log(hi), sizes))).astype(int)
+    # sorted(set()) rather than np.unique, whose first call imports numpy.ma:
+    # ExperimentSpec runs this for every preset while the package imports
+    grid = np.array(sorted(set(raw.tolist())))
     return grid[n // grid >= 8]
 
 
@@ -233,15 +251,20 @@ def vpmp_from_variances(sizes, variances, method: str = "vpmp") -> EstimateResul
     return EstimateResult(method, s_from_memory(d), slope, int(k.size), diagnostics)
 
 
-def vpmp_estimate(series, block_sizes=None) -> EstimateResult:
-    """Variance plot over a geometric grid of block lengths."""
-    x = series_values(series)
-    n = x.size
+def _block_grid(n: int, block_sizes=None) -> np.ndarray:
     grid = np.asarray(block_sizes, dtype=int) if block_sizes is not None else default_block_grid(n)
     if grid.size < 4:
         raise ValueError(f"need at least 4 block sizes, got {grid.size}")
     if np.any(n // grid < 8):
         raise ValueError("every block size must allow 8 disjoint blocks")
+    return grid
+
+
+def vpmp_estimate(series, block_sizes=None) -> EstimateResult:
+    """Variance plot over a geometric grid of block lengths."""
+    x = series_values(series)
+    n = x.size
+    grid = _block_grid(n, block_sizes)
     variances = np.empty(grid.size)
     for i, k in enumerate(grid):
         blocks = n // k
@@ -288,6 +311,14 @@ def holder_from_ordinates(origin_value: float, ordinate: float, freq: float) -> 
     return math.log(gap) / math.log(freq), True
 
 
+def _holder_indices(n: int, freq_index: int = 1, average_count: int | None = None) -> np.ndarray:
+    if not 1 <= freq_index < n // 2:
+        raise ValueError(f"frequency index must lie in [1, {n // 2}), got {freq_index}")
+    if average_count is not None and not 1 <= average_count < n // 2:
+        raise ValueError(f"average count must lie in [1, {n // 2}), got {average_count}")
+    return np.array([freq_index]) if average_count is None else np.arange(1, average_count + 1)
+
+
 def holder_estimate(series, smoothing: str = "none", freq_index: int = 1,
                     average_count: int | None = None) -> EstimateResult:
     """Regularity of the spectrum at frequency zero, inverted to s.
@@ -295,32 +326,31 @@ def holder_estimate(series, smoothing: str = "none", freq_index: int = 1,
     The series is mean-centered, so the raw periodogram vanishes at
     frequency zero and the gap |I(0) - I(w_j)| reduces to I(w_j);
     ``smoothing="parzen"`` replaces the periodogram by the smoothed
-    spectrum, whose frequency-0 ordinate is genuinely nonzero.  Uses the
-    single Fourier index ``freq_index`` by default; ``average_count=J``
-    instead averages the estimate over j = 1..J, for 1 <= J < N // 2.
+    spectrum, whose frequency-0 ordinate is genuinely nonzero, and forms
+    its gap directly as |(1/pi) sum_{k=1..m} c_k (1 - cos(w_j k))| from the
+    weighted autocovariances c_k rather than as a difference of two nearly
+    equal ordinates.  Uses the single Fourier index ``freq_index`` by
+    default; ``average_count=J`` instead averages the estimate over
+    j = 1..J, for 1 <= J < N // 2.
     """
     if smoothing not in ("none", "parzen"):
         raise ValueError(f"smoothing must be 'none' or 'parzen', got {smoothing!r}")
     x = series_values(series)
     n = x.size
-    if not 1 <= freq_index < n // 2:
-        raise ValueError(f"frequency index must lie in [1, {n // 2}), got {freq_index}")
-    if average_count is not None and not 1 <= average_count < n // 2:
-        raise ValueError(f"average count must lie in [1, {n // 2}), got {average_count}")
+    indices = _holder_indices(n, freq_index, average_count)
     method = "p" if smoothing == "none" else "sp"
-    # both spectra center the series themselves
+    # both statistics center the series themselves
     if smoothing == "none":
-        spectrum = periodogram(x, centered=True)
+        gaps = periodogram_band(x, indices)
         origin = 0.0
     else:
-        spectrum = smoothed_periodogram(x, LagWindowSpec("parzen", default_truncation(n)))
-        origin = spectrum.zero_frequency_ordinate()
+        origin, gaps = lag_window_gaps(x, LagWindowSpec("parzen", default_truncation(n)),
+                                       indices)
 
-    indices = np.array([freq_index]) if average_count is None else np.arange(1, average_count + 1)
     exponents = []
-    for j in indices:
-        a, ok = holder_from_ordinates(origin, float(spectrum.ordinates[j - 1]),
-                                      float(spectrum.freqs[j - 1]))
+    for j, gap in zip(indices, gaps):
+        # the gap is already the difference, so it goes in against an origin of 0
+        a, ok = holder_from_ordinates(0.0, float(gap), 2.0 * np.pi * j / n)
         if not ok:
             return _invalid(method, f"spectrum gap vanishes at index {j}",
                             points_used=int(indices.size))
@@ -334,21 +364,39 @@ def holder_estimate(series, smoothing: str = "none", freq_index: int = 1,
                                               "freq_indices": indices.tolist()})
 
 
+def _check_ladder_length(n: int) -> None:
+    # sample_R's own requirement, two ladder levels, read off the length
+    if n < 64:
+        raise ValueError(f"need a series of at least 64 samples, got {n}")
+
+
 # method name -> (function that does the work, the fixed arguments that make
-# it that method); ``estimate`` passes any other keyword arguments through
+# it that method, the check that its default configuration can take a
+# length-N series); ``estimate`` passes any other keyword arguments through
 _METHODS = {
-    "perio": (perio_estimate, {}),
-    "parzen": (parzen_estimate, {}),
-    "cos1": (cos_estimate, {"band": RegressionBand(0.5), "method": "cos1"}),
-    "cos2": (cos_estimate, {"band": RegressionBand(0.7), "method": "cos2"}),
-    "varmp": (varmp_estimate, {}),
-    "vpmp": (vpmp_estimate, {}),
-    "wmp-haar": (wmp_estimate, {"basis": WaveletBasis.HAAR}),
-    "wmp-mexhat": (wmp_estimate, {"basis": WaveletBasis.MEXICAN_HAT}),
-    "p": (holder_estimate, {"smoothing": "none"}),
-    "sp": (holder_estimate, {"smoothing": "parzen"}),
+    "perio": (perio_estimate, {}, _check_band_length),
+    "parzen": (parzen_estimate, {}, _check_band_length),
+    "cos1": (cos_estimate, {"band": RegressionBand(0.5), "method": "cos1"}, _check_band_length),
+    "cos2": (cos_estimate, {"band": RegressionBand(0.7), "method": "cos2"}, _check_band_length),
+    "varmp": (varmp_estimate, {}, _block_layout),
+    "vpmp": (vpmp_estimate, {}, _block_grid),
+    "wmp-haar": (wmp_estimate, {"basis": WaveletBasis.HAAR}, _check_ladder_length),
+    "wmp-mexhat": (wmp_estimate, {"basis": WaveletBasis.MEXICAN_HAT}, _check_ladder_length),
+    "p": (holder_estimate, {"smoothing": "none"}, _holder_indices),
+    "sp": (holder_estimate, {"smoothing": "parzen"}, _holder_indices),
 }
 METHOD_NAMES = tuple(_METHODS)
+
+
+def check_length(method: str, n: int) -> None:
+    """Raise the ValueError ``estimate(x, method)`` raises for every length-n x.
+
+    Runs the method's own size checks with its default configuration, on the
+    length alone, so a caller can reject a length before making any series.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+    _METHODS[method][2](n)
 
 
 def estimate(series, method: str, **config) -> EstimateResult:
@@ -359,7 +407,7 @@ def estimate(series, method: str, **config) -> EstimateResult:
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-    fn, fixed = _METHODS[method]
+    fn, fixed, _ = _METHODS[method]
     x = series_values(series)
     if not np.isfinite(x).all():
         inspect.signature(fn).bind(x, **fixed, **config)  # same TypeError as a call

@@ -27,7 +27,7 @@ from .dynamics import (
     simulate_markov,
     simulate_mp_batch,
 )
-from .estimators import METHOD_NAMES, estimate
+from .estimators import METHOD_NAMES, check_length, estimate
 
 DEFAULT_BASE_SEED = 12345
 
@@ -57,6 +57,16 @@ class ExperimentSpec:
             raise ValueError(f"unknown methods {unknown}; expected names from {METHOD_NAMES}")
         if not self.s_values or not self.n_values or not self.methods:
             raise ValueError("s_values, n_values, and methods must all be nonempty")
+        if min(self.n_values) < 1:
+            raise ValueError(f"series lengths must be positive, got {list(self.n_values)}")
+        # every cell's length must pass its method's checks before anything
+        # is simulated, not when the grid reaches that cell
+        for n in self.n_values:
+            for method in self.methods:
+                try:
+                    check_length(method, n)
+                except ValueError as exc:
+                    raise ValueError(f"cell N={n}, method={method}: {exc}") from None
 
     def cells(self):
         for s in self.s_values:

@@ -10,12 +10,23 @@ Smoothed estimates weight the sample autocovariances with a Parzen or
 cosine-bell (Tukey-Hanning) lag window before the cosine sum; the cosine
 bell can produce negative ordinates, which downstream log-regressions clamp
 and count.
+
+``periodogram`` and ``smoothed_periodogram`` return the full grid.  The
+estimators read only a band of it, and ``periodogram_band``,
+``lag_window_band`` and ``lag_window_gaps`` compute just that band: a few
+ordinates from a product with a cached table of cosines and sines, a wider
+band from one real-input FFT sliced to it.  The gap between the smoothed
+spectrum at frequency 0 and at w_j is formed directly as
+(1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)), with c_k the weighted
+autocovariances and 1 - cos(w_j k) = 2 sin(w_j k / 2)**2, so it keeps its
+relative precision where the two ordinates nearly agree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,6 +120,17 @@ def _on_grid(half: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([half[1:], half[(n - 1) // 2:0:-1], half[:1]])
 
 
+def _power(re, im, n: int):
+    """Periodogram ordinates |sum_t x_t exp(-i w t)|**2 / (4 pi^2 N) from a transform."""
+    return (re**2 + im**2) / (4.0 * np.pi**2 * n)
+
+
+def _lag_half(c: np.ndarray, n: int) -> np.ndarray:
+    """(1/2pi) [c_0 + 2 sum_k c_k cos(w_h k)] at h = 0..n//2, from one length-n rfft."""
+    f = np.fft.rfft(c, n=n)
+    return (2.0 * f.real - c[0]) / (2.0 * np.pi)
+
+
 def sample_acv(series, max_lag: int) -> AcvEstimate:
     """Biased sample autocovariance up to max_lag.
 
@@ -145,7 +167,7 @@ def periodogram(series, centered: bool = False) -> Periodogram:
     if centered:
         x = x - x.mean()
     f = np.fft.rfft(x)
-    ordinates = _on_grid((f.real**2 + f.imag**2) / (4.0 * np.pi**2 * n), n)
+    ordinates = _on_grid(_power(f.real, f.imag, n), n)
     if centered:
         ordinates[-1] = 0.0  # the transform of the centered series at h = 0 is rounding only
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
@@ -170,8 +192,11 @@ def lag_window_weight(spec: LagWindowSpec, x):
     return w
 
 
+@lru_cache(maxsize=32)
 def _window_weights(spec: LagWindowSpec) -> np.ndarray:
-    return lag_window_weight(spec, np.arange(spec.m + 1) / spec.m)
+    weights = lag_window_weight(spec, np.arange(spec.m + 1) / spec.m)
+    weights.flags.writeable = False
+    return weights
 
 
 def lag_weighted_spectrum(acv: AcvEstimate, weights: np.ndarray, n: int) -> np.ndarray:
@@ -185,9 +210,14 @@ def lag_weighted_spectrum(acv: AcvEstimate, weights: np.ndarray, n: int) -> np.n
         raise ValueError(f"need truncation point < series length, got m={m}, n={n}")
     if acv.max_lag < m:
         raise ValueError("autocovariance estimate does not cover the window")
-    c = weights * acv.values[: m + 1]
-    f = np.fft.rfft(c, n=n)
-    return _on_grid((2.0 * f.real - c[0]) / (2.0 * np.pi), n)
+    return _on_grid(_lag_half(weights * acv.values[: m + 1], n), n)
+
+
+def _weighted_acv(x: np.ndarray, spec: LagWindowSpec) -> np.ndarray:
+    """Weighted autocovariances c_k = w(k/m) gamma_hat(k), k = 0..m."""
+    if spec.m >= x.size:
+        raise ValueError(f"truncation point must be < series length, got m={spec.m}, n={x.size}")
+    return _window_weights(spec) * sample_acv(x, spec.m).values
 
 
 def smoothed_periodogram(series, spec: LagWindowSpec) -> Periodogram:
@@ -199,9 +229,125 @@ def smoothed_periodogram(series, spec: LagWindowSpec) -> Periodogram:
     """
     x = series_values(series)
     n = x.size
-    if spec.m >= n:
-        raise ValueError(f"truncation point must be < series length, got m={spec.m}, n={n}")
-    acv = sample_acv(x, spec.m)
-    ordinates = lag_weighted_spectrum(acv, _window_weights(spec), n)
+    ordinates = _on_grid(_lag_half(_weighted_acv(x, spec), n), n)
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
     return Periodogram(freqs, ordinates, kind="smoothed", window=spec.kind, truncation=spec.m)
+
+
+# A band is read off a product with a cached trigonometric table while the
+# table holds at most PRODUCT_LIMIT * N entries, and off one length-N
+# real-input FFT above that.  Measured on a 2-vCPU Xeon VM (numpy 2.4.6,
+# OpenBLAS) at N = 30000, with the table in cache: an rfft took 0.42-0.47
+# ms, a product with a table of 8N entries 0.06 ms, one of 32N 0.22 ms;
+# with the caches evicted first: rfft 0.55-0.89 ms, 8N 0.24 ms, 32N 0.42 ms.
+# 8 keeps a clear margin either way.  A table also holds at most
+# TABLE_LIMIT entries (1 MB), so the three table caches below keep at most
+# 3 * 8 * 1 MB whatever N is: a larger band takes the FFT, and a row of
+# ``lag_window_gaps`` wider than that is built for the call alone.  At
+# N = 8192..32768 the cos1 and cos2 bands (about N entries) and p's single
+# index (2N) take the product, parzen's band (about 60N) and perio's the FFT.
+PRODUCT_LIMIT = 8
+TABLE_LIMIT = 1 << 17
+
+
+def _max_table(n: int) -> int:
+    """Most entries a table may hold for a length-n series."""
+    return min(PRODUCT_LIMIT * n, TABLE_LIMIT)
+
+
+def _fourier_indices(indices, n: int) -> np.ndarray:
+    h = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if h.size < 1 or np.any(h < 1) or np.any(h >= n):
+        raise ValueError(f"Fourier indices must lie in [1, {n}), got {h.tolist()}")
+    return h
+
+
+@lru_cache(maxsize=8)
+def _dft_table(n: int, indices: tuple[int, ...]) -> np.ndarray:
+    """cos(w_h t) rows, then sin(w_h t) rows, for each h and t = 0..n-1.
+
+    Phases are reduced mod n in integers first, so each angle is exact
+    before the one rounding of 2 pi / n.
+    """
+    phase = (2.0 * np.pi / n) * (np.outer(indices, np.arange(n)) % n)
+    table = np.concatenate([np.cos(phase), np.sin(phase)])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=8)
+def _cosine_table(n: int, g: int, m: int) -> np.ndarray:
+    """cos(w_h k) for h = 1..g (rows) and k = 1..m (columns)."""
+    phase = (2.0 * np.pi / n) * (np.outer(np.arange(1, g + 1), np.arange(1, m + 1)) % n)
+    table = np.cos(phase)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=8)
+def _half_angle_table(n: int, indices: tuple[int, ...], m: int) -> np.ndarray:
+    """1 - cos(w_j k) = 2 sin(pi j k / n)**2 for each j (rows) and k = 1..m."""
+    phase = (np.pi / n) * (np.outer(indices, np.arange(1, m + 1)) % n)
+    table = 2.0 * np.sin(phase) ** 2
+    table.flags.writeable = False
+    return table
+
+
+def periodogram_band(series, indices) -> np.ndarray:
+    """Centred periodogram at the Fourier indices h, each in [1, N).
+
+    Equals ``periodogram(series, centered=True).ordinates[h - 1]``.  Read
+    off one product of the centred series with a cached (2 * len(h), N)
+    table of cosines and sines while that table fits (``_max_table``),
+    else off one rfft at min(h, N - h).
+    """
+    x = series_values(series)
+    n = x.size
+    h = _fourier_indices(indices, n)
+    xc = x - x.mean()
+    if 2 * h.size * n <= _max_table(n):
+        f = _dft_table(n, tuple(h.tolist())) @ xc
+        return _power(f[:h.size], f[h.size:], n)
+    f = np.fft.rfft(xc)[np.minimum(h, n - h)]
+    return _power(f.real, f.imag, n)
+
+
+def lag_window_band(series, spec: LagWindowSpec, g: int) -> np.ndarray:
+    """Lag-window spectrum at h = 1..g, ``smoothed_periodogram(...).ordinates[:g]``.
+
+    (c_0 + 2 sum_{k=1..m} c_k cos(w_h k)) / 2 pi comes from a cached (g, m)
+    cosine table while that table fits (``_max_table``), else from one
+    length-N rfft of c sliced to the band.
+    """
+    x = series_values(series)
+    n = x.size
+    if not 1 <= g < n:
+        raise ValueError(f"band size must lie in [1, {n}), got {g}")
+    c = _weighted_acv(x, spec)
+    if g * spec.m <= _max_table(n):
+        return (c[0] + 2.0 * (_cosine_table(n, g, spec.m) @ c[1:])) / (2.0 * np.pi)
+    h = np.arange(1, g + 1)
+    return _lag_half(c, n)[np.minimum(h, n - h)]
+
+
+def lag_window_gaps(series, spec: LagWindowSpec, indices) -> tuple[float, np.ndarray]:
+    """Lag-window spectrum at frequency 0, and its drop f(0) - f(w_j) at each j.
+
+    f(0) = (c_0 + 2 sum_k c_k) / 2 pi, and the drop is formed directly as
+    (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)) from a cached table of
+    2 sin(w_j k / 2)**2, in blocks of as many rows as ``_max_table`` allows
+    (one uncached row at a time when a single row does not fit).
+    Subtracting two computed ordinates instead would cancel when they nearly
+    agree, as they do next to frequency 0.
+    """
+    x = series_values(series)
+    n = x.size
+    j = _fourier_indices(indices, n)
+    c = _weighted_acv(x, spec)
+    origin = float(c[0] + 2.0 * c[1:].sum()) / (2.0 * np.pi)
+    rows = _max_table(n) // spec.m
+    table = _half_angle_table if rows else _half_angle_table.__wrapped__
+    step = max(1, rows)
+    drops = [table(n, tuple(j[i:i + step].tolist()), spec.m) @ c[1:]
+             for i in range(0, j.size, step)]
+    return origin, np.concatenate(drops) / np.pi

@@ -149,6 +149,11 @@ def test_montecarlo_spec_file(tmp_path):
     assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir)]) == 0
     lines = (out_dir / "results.csv").read_text().splitlines()
     assert len(lines) == 3
+    # a cell its method cannot run exits 1 before anything is simulated
+    spec.write_text("s=0.8\nn=2048,500\nmethods=perio,varmp\nreplications=3\n")
+    bad_dir = tmp_path / "bad"
+    assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(bad_dir)]) == 1
+    assert not bad_dir.exists()
 
 
 def test_montecarlo_requires_exactly_one_source(tmp_path):

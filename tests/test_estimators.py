@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from mplm.dynamics import simulate_mp
 from mplm.estimators import (
     METHOD_NAMES,
     RegressionBand,
+    check_length,
     cos_estimate,
     estimate,
     holder_estimate,
@@ -24,6 +26,8 @@ from mplm.estimators import (
     vpmp_from_variances,
     wmp_from_ladder,
 )
+from mplm.spectral import (LagWindowSpec, default_truncation, lag_window_weight, periodogram,
+                           sample_acv, smoothed_periodogram)
 from mplm.wavelet import TruncationWarning, WaveletLadder
 
 
@@ -268,6 +272,29 @@ def test_holder_pipeline_and_averaging(mp_series):
         holder_estimate(mp_series.values, smoothing="daniell")
     with pytest.raises(ValueError):
         holder_estimate(mp_series.values, freq_index=0)
+    # the band statistics against the full-grid spectra: the gap at w_j,
+    # read back from s_hat, within 1e-13 of the largest ordinate (an exponent
+    # at or below -2, as near Nyquist, must be invalid on both)
+    x = mp_series.values
+    n = x.size
+    freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
+    raw = periodogram(x, centered=True).ordinates
+    smooth = smoothed_periodogram(x, LagWindowSpec("parzen", default_truncation(n)))
+    full_gaps = {"p": raw, "sp": smooth.zero_frequency_ordinate() - smooth.ordinates}
+    largest = {"p": raw.max(), "sp": smooth.ordinates.max()}
+    for method in ("p", "sp"):
+        for j in (1, 2, n // 2 - 1):
+            result = estimate(x, method, freq_index=j)
+            full_gap = abs(full_gaps[method][j - 1])
+            if not result.valid:
+                assert math.log(full_gap) / math.log(freqs[j - 1]) <= -2.0, (method, j)
+                continue
+            gap = math.exp((1.0 / result.s_hat - 2.0) * math.log(freqs[j - 1]))
+            assert abs(gap - full_gap) <= 1e-13 * largest[method], (method, j)
+        count = 40
+        exponents = np.log(np.abs(full_gaps[method][:count])) / np.log(freqs[:count])
+        averaged = estimate(x, method, average_count=count)
+        assert_allclose(averaged.s_hat, np.mean(1.0 / (exponents + 2.0)), rtol=1e-12)
 
 
 def test_holder_rejects_average_count_out_of_range(mp_series):
@@ -279,6 +306,65 @@ def test_holder_rejects_average_count_out_of_range(mp_series):
             with pytest.raises(ValueError, match=rf"average count must lie in \[1, {half}\)"):
                 estimate(mp_series.values, method, average_count=count)
         assert estimate(mp_series.values, method, average_count=half - 1).points_used == half - 1
+
+
+@pytest.mark.parametrize("s,n,seed", [(0.4, 4096, 47), (0.4, 1000, 80), (0.3, 4096, 43)])
+def test_sp_gap_has_no_cancellation(s, n, seed):
+    # the smoothed gap at w_1 summed exactly from the same autocovariances;
+    # a difference of the two FFT ordinates was off by 1.2e-13 (relative)
+    # in the slope of the first row
+    x = simulate_mp(s, n, seed=seed, burn_in=0).values
+    m = default_truncation(n)
+    c = (lag_window_weight(LagWindowSpec("parzen", m), np.arange(m + 1) / m)
+         * sample_acv(x, m).values)
+    gap = math.fsum(float(c[k]) * 2.0 * math.sin(math.pi * k / n) ** 2
+                    for k in range(1, m + 1)) / math.pi
+    slope = math.log(abs(gap)) / math.log(2.0 * math.pi / n)
+    result = estimate(x, "sp")
+    assert abs(result.slope - slope) <= 1e-13 * abs(slope)
+    origin = math.fsum([float(c[0])] + [2.0 * float(v) for v in c[1:]]) / (2.0 * math.pi)
+    assert_allclose(result.diagnostics["origin_ordinate"], origin, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1000, 4096, 8192])
+@pytest.mark.parametrize("s", [0.3, 0.4, 0.65, 0.8])
+def test_complement_invariance(s, n):
+    # centring makes every statistic of 1 - x equal to that of x: the
+    # spectra, block variances and wavelet energies see -(x - xbar)
+    x = simulate_mp(s, n, seed=int(1000 * s) + n, burn_in=0).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for method in METHOD_NAMES:
+            a, b = estimate(x, method), estimate(1.0 - x, method)
+            assert a.valid is b.valid, method
+            if a.valid:
+                assert abs(a.s_hat - b.s_hat) <= 1e-12, method
+
+
+def test_check_length_matches_the_estimators():
+    # the length alone decides whether a method's default configuration
+    # raises, and check_length raises exactly then
+    rng = np.random.default_rng(24)
+    for n in (3, 4, 15, 16, 40, 63, 64, 200, 500, 999, 1000, 2000):
+        x = (rng.random(n) < 0.5).astype(float)
+        for method in METHOD_NAMES:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", TruncationWarning)
+                    estimate(x, method)
+                raised = False
+            except ValueError:
+                raised = True
+            try:
+                check_length(method, n)
+                rejected = False
+            except ValueError:
+                rejected = True
+            assert rejected == raised, (method, n)
+    with pytest.raises(ValueError, match="8 disjoint blocks"):
+        check_length("varmp", 500)
+    with pytest.raises(ValueError, match="unknown method"):
+        check_length("whittle", 1000)
 
 
 def test_cos_band_and_default_truncation(mp_series):

@@ -57,6 +57,18 @@ def test_replication_seeds_unique_across_grid():
     assert len(seeds) == count
 
 
+def test_spec_rejects_a_cell_its_method_cannot_run():
+    # varmp needs 8 blocks of floor(N**0.7), so N >= 1000; the (500, varmp)
+    # cell once raised only after the earlier cells had been simulated
+    with pytest.raises(ValueError, match=r"N=500, method=varmp: .*8 disjoint blocks"):
+        ExperimentSpec((0.6,), (2000, 500), ("perio", "varmp"), 3)
+    with pytest.raises(ValueError, match=r"N=32, method=wmp-haar: .*at least 64"):
+        ExperimentSpec((0.8,), (32,), ("perio", "wmp-haar"), 1)
+    with pytest.raises(ValueError, match="positive"):
+        ExperimentSpec((0.8,), (0,), ("perio",), 1)
+    assert ExperimentSpec((0.6,), (2000, 1000), ("perio", "varmp"), 3).n_values == (2000, 1000)
+
+
 def test_run_experiment_deterministic_across_thread_counts(tmp_path):
     first = run_experiment(TINY, threads=1)
     second = run_experiment(TINY, threads=4)

@@ -3,13 +3,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mplm.spectral import (
+    PRODUCT_LIMIT,
+    TABLE_LIMIT,
     LagWindowSpec,
     lag_weighted_spectrum,
+    lag_window_band,
+    lag_window_gaps,
     lag_window_weight,
     periodogram,
+    periodogram_band,
     sample_acv,
     smoothed_periodogram,
 )
+from mplm.spectral import _cosine_table, _dft_table, _half_angle_table
 
 
 def direct_periodogram(x):
@@ -106,6 +112,23 @@ def test_periodogram_matches_direct_summation():
         per = periodogram(x)
         ref = direct_periodogram(x)
         assert np.allclose(per.ordinates, ref, rtol=1e-10, atol=1e-20)
+        # the band statistic reads the centred grid: up to PRODUCT_LIMIT / 2
+        # indices by the cached product, more (past N / 2 too) by the rfft;
+        # TABLE_LIMIT does not bind at these n
+        centred = periodogram(x, centered=True).ordinates
+        cases = ([1], [2], [n // 2 - 1], [1, 2, 5], np.arange(1, 5), np.arange(1, n),
+                 np.arange(1, int(n**0.5) + 1))
+        assert {2 * len(h) <= PRODUCT_LIMIT for h in cases} == {True, False}
+        for h in cases:
+            band = periodogram_band(x, h)
+            assert_allclose(band, centred[np.asarray(h) - 1], rtol=0,
+                            atol=1e-13 * centred.max(), err_msg=f"n={n} h={h}")
+            assert_allclose(band, direct_periodogram(x - x.mean())[np.asarray(h) - 1],
+                            rtol=1e-10, atol=1e-20)
+    with pytest.raises(ValueError):
+        periodogram_band(np.ones(16), [16])
+    with pytest.raises(ValueError):
+        periodogram_band(np.ones(16), [0, 1])
 
 
 def test_periodogram_parseval():
@@ -219,22 +242,72 @@ def test_smoothed_white_noise_is_flat():
 
 
 def test_smoothed_matches_brute_force_cosine_sum():
-    # odd and even n: the real-input FFT is mirrored onto h = 1..n
+    # odd and even n: the real-input FFT is mirrored onto h = 1..n; the band
+    # statistics must read the same grid, by the cached product when
+    # g * m <= PRODUCT_LIMIT * n and by the rfft above that (TABLE_LIMIT
+    # does not bind at these n)
     rng = np.random.default_rng(10)
-    m = 12
+    paths = set()
     for n in (39, 40):
         x = random_binary(rng, n)
         for kind in ("parzen", "cosbell"):
-            spec = LagWindowSpec(kind, m)
-            f = smoothed_periodogram(x, spec)
-            acv = sample_acv(x, m)
-            w = lag_window_weight(spec, np.arange(m + 1) / m)
-            for h in range(1, n + 1):
-                omega = 2.0 * np.pi * h / n
-                ref = (w[0] * acv.values[0] + 2.0 * np.sum(
-                    w[1:] * acv.values[1:] * np.cos(omega * np.arange(1, m + 1))))
-                assert_allclose(f.ordinates[h - 1], ref / (2.0 * np.pi), atol=1e-12,
-                                err_msg=f"n={n} {kind} h={h}")
+            for m in (3, 12, 30):
+                spec = LagWindowSpec(kind, m)
+                f = smoothed_periodogram(x, spec)
+                acv = sample_acv(x, m)
+                w = lag_window_weight(spec, np.arange(m + 1) / m)
+                for h in range(1, n + 1):
+                    omega = 2.0 * np.pi * h / n
+                    ref = (w[0] * acv.values[0] + 2.0 * np.sum(
+                        w[1:] * acv.values[1:] * np.cos(omega * np.arange(1, m + 1))))
+                    assert_allclose(f.ordinates[h - 1], ref / (2.0 * np.pi), atol=1e-12,
+                                    err_msg=f"n={n} {kind} m={m} h={h}")
+                tol = 1e-13 * np.abs(f.ordinates).max()
+                for g in (1, 5, n // 2, n - 1):
+                    paths.add(g * m <= PRODUCT_LIMIT * n)
+                    assert_allclose(lag_window_band(x, spec, g), f.ordinates[:g], rtol=0,
+                                    atol=tol, err_msg=f"n={n} {kind} m={m} g={g}")
+                # the drop from frequency 0, at single indices and at a run of
+                # them that spans more than one block of the table
+                for j in ([1], [2], [n // 2 - 1], np.arange(1, n)):
+                    origin, gaps = lag_window_gaps(x, spec, j)
+                    assert_allclose(origin, f.zero_frequency_ordinate(), rtol=0, atol=tol)
+                    assert_allclose(origin - gaps, f.ordinates[np.asarray(j) - 1], rtol=0,
+                                    atol=tol, err_msg=f"n={n} {kind} m={m} j={j}")
+    assert paths == {True, False}
+    with pytest.raises(ValueError):
+        lag_window_band(np.ones(16), LagWindowSpec("parzen", 16), 4)
+    with pytest.raises(ValueError):
+        lag_window_band(np.ones(16), LagWindowSpec("parzen", 4), 16)
+
+
+def test_tables_above_the_limit_are_not_cached():
+    # past TABLE_LIMIT entries the bands take the rfft and a gap row is built
+    # for the call alone, so no cached table outgrows the limit at any N
+    rng = np.random.default_rng(12)
+    caches = (_dft_table, _cosine_table, _half_angle_table)
+    for cache in caches:
+        cache.cache_clear()
+    n = 40_000  # PRODUCT_LIMIT * n > TABLE_LIMIT
+    x = random_binary(rng, n)
+    h = [1, 2]  # a (4, n) table
+    assert TABLE_LIMIT < 2 * len(h) * n <= PRODUCT_LIMIT * n
+    centred = periodogram(x, centered=True).ordinates
+    assert_allclose(periodogram_band(x, h), centred[np.asarray(h) - 1], rtol=0,
+                    atol=1e-13 * centred.max())
+    spec, g = LagWindowSpec("parzen", 1000), 200
+    assert TABLE_LIMIT < g * spec.m <= PRODUCT_LIMIT * n
+    f = smoothed_periodogram(x, spec)
+    assert_allclose(lag_window_band(x, spec, g), f.ordinates[:g], rtol=0,
+                    atol=1e-13 * np.abs(f.ordinates).max())
+    n = TABLE_LIMIT + 1000
+    x = random_binary(rng, n)
+    spec = LagWindowSpec("parzen", TABLE_LIMIT + 1)  # one row of the gap table
+    f = smoothed_periodogram(x, spec)
+    origin, gaps = lag_window_gaps(x, spec, [1, 2, 3])
+    assert_allclose(origin - gaps, f.ordinates[:3], rtol=0,
+                    atol=1e-13 * np.abs(f.ordinates).max())
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
 def test_smoothed_kind_metadata():
