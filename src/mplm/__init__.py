@@ -21,10 +21,12 @@ from .dynamics import (
     simulate_mp_batch,
 )
 from .estimators import (
+    BatchEstimate,
     EstimateResult,
     RegressionBand,
     cos_estimate,
     estimate,
+    estimate_batch,
     holder_estimate,
     ols_slope,
     parzen_estimate,

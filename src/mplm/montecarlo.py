@@ -5,6 +5,10 @@ its series from a stream keyed by (base seed, model, s, N, method, r), so
 results are reproducible and independent of scheduling: the worker pool
 can be any size without changing a digit.
 
+A cell simulates its replications as one (replications, N) array and
+estimates every row with one ``estimate_batch`` call; row r of that batch
+equals ``estimate`` on replication r alone, to rounding (1e-12).
+
 Summaries report mean, standard deviation (R-1 divisor), and
 mse = (mean - s)^2 + sd^2 over valid replications; invalid estimates are
 counted and excluded, and a cell with more than half of its replications
@@ -27,7 +31,10 @@ from .dynamics import (
     simulate_markov,
     simulate_mp_batch,
 )
-from .estimators import METHOD_NAMES, check_length, estimate
+from .estimators import METHOD_NAMES, check_length, estimate_batch
+# perfbench/tracer.py wraps montecarlo.estimate and perfbench/selfcheck.py
+# looks it up, so the name stays importable here; no cell calls it
+from .estimators import estimate  # noqa: F401
 
 DEFAULT_BASE_SEED = 12345
 
@@ -126,18 +133,12 @@ def _simulate_cell(spec: ExperimentSpec, s: float, n: int, seeds) -> np.ndarray:
 def _run_cell(spec: ExperimentSpec, s: float, n: int, method: str) -> McSummary:
     seeds = [replication_seed(spec.base_seed, spec.model, s, n, method, r)
              for r in range(spec.replications)]
-    rows = _simulate_cell(spec, s, n, seeds)
-    valid = []
-    invalid = 0
-    for row in rows:
-        result = estimate(row, method)
-        if result.valid and np.isfinite(result.s_hat):
-            valid.append(result.s_hat)
-        else:
-            invalid += 1
+    batch = estimate_batch(_simulate_cell(spec, s, n, seeds), method)
+    usable = batch.valid & np.isfinite(batch.s_hat)
+    invalid = int(np.count_nonzero(~usable))
     failed = invalid > spec.replications // 2
-    if valid:
-        mean, sd, mse = summarize(valid, s)
+    if usable.any():
+        mean, sd, mse = summarize(batch.s_hat[usable], s)
     else:
         mean = sd = mse = float("nan")
         failed = True

@@ -11,12 +11,13 @@ cosine-bell (Tukey-Hanning) lag window before the cosine sum; the cosine
 bell can produce negative ordinates, which downstream log-regressions clamp
 and count.
 
-``periodogram`` and ``smoothed_periodogram`` return the full grid.  The
-estimators read only a band of it, and ``periodogram_band``,
-``lag_window_band`` and ``lag_window_gaps`` compute just that band: a few
+``periodogram`` and ``smoothed_periodogram`` return the full grid of one
+series.  The estimators read only a band of it, and ``periodogram_band``,
+``lag_window_band`` and ``lag_window_gaps`` compute just that band for every
+row of a (rows, N) array at once (one series counts as one row): a few
 ordinates from a product with a cached table of cosines and sines, a wider
-band from one real-input FFT sliced to it.  The gap between the smoothed
-spectrum at frequency 0 and at w_j is formed directly as
+band from one real-input FFT per row sliced to it.  The gap between the
+smoothed spectrum at frequency 0 and at w_j is formed directly as
 (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)), with c_k the weighted
 autocovariances and 1 - cos(w_j k) = 2 sin(w_j k / 2)**2, so it keeps its
 relative precision where the two ordinates nearly agree.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -38,6 +39,33 @@ def series_values(series) -> np.ndarray:
     if x.ndim != 1 or x.size < 1:
         raise ValueError("expected a nonempty 1-d series")
     return x
+
+
+def series_rows(rows) -> np.ndarray:
+    """A (rows, N) float array, with one 1-d series taken as a single row."""
+    x = np.asarray(getattr(rows, "values", rows), dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None]
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
+        raise ValueError("expected a nonempty series or (rows, N) array")
+    return x
+
+
+def _rows_or_series(statistic):
+    """Let a statistic over the rows of a (rows, N) array take one 1-d series
+    too, and give back that series' row."""
+    @wraps(statistic)
+    def either(rows, *args):
+        out = statistic(series_rows(rows), *args)
+        if np.ndim(getattr(rows, "values", rows)) != 1:
+            return out
+        return tuple(part[0] for part in out) if isinstance(out, tuple) else out[0]
+    return either
+
+
+def _centred(x: np.ndarray) -> np.ndarray:
+    """Each row minus its own mean (the row sum over N, as ``mean`` forms it)."""
+    return x - x.sum(axis=1, keepdims=True) / x.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +126,7 @@ def default_truncation(n: int) -> int:
     return int(math.floor(n**0.9 + 1e-9))
 
 
+@lru_cache(maxsize=64)
 def _fft_length(target: int) -> int:
     """Smallest 2**a * 3**b * 5**c >= target, a length numpy's FFT does fast."""
     best = 1 << (target - 1).bit_length()
@@ -126,9 +155,17 @@ def _power(re, im, n: int):
 
 
 def _lag_half(c: np.ndarray, n: int) -> np.ndarray:
-    """(1/2pi) [c_0 + 2 sum_k c_k cos(w_h k)] at h = 0..n//2, from one length-n rfft."""
-    f = np.fft.rfft(c, n=n)
-    return (2.0 * f.real - c[0]) / (2.0 * np.pi)
+    """(1/2pi) [c_0 + 2 sum_k c_k cos(w_h k)] at h = 0..n//2, from a length-n rfft per row."""
+    f = np.fft.rfft(c, n=n, axis=-1)
+    return (2.0 * f.real - c[..., :1]) / (2.0 * np.pi)
+
+
+def _acv_rows(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """gamma_hat(0..max_lag) of each row of x (see ``sample_acv``), shape (rows, max_lag + 1)."""
+    n = x.shape[1]
+    nfft = _fft_length(n + max_lag + 1)
+    f = np.fft.rfft(_centred(x), n=nfft, axis=1)
+    return np.fft.irfft(f.real**2 + f.imag**2, n=nfft, axis=1)[:, : max_lag + 1] / n
 
 
 def sample_acv(series, max_lag: int) -> AcvEstimate:
@@ -147,11 +184,7 @@ def sample_acv(series, max_lag: int) -> AcvEstimate:
     n = x.size
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must satisfy 0 <= max_lag < {n}, got {max_lag}")
-    xc = x - x.mean()
-    nfft = _fft_length(n + max_lag + 1)
-    f = np.fft.rfft(xc, n=nfft)
-    acov = np.fft.irfft(f.real**2 + f.imag**2, n=nfft)[: max_lag + 1] / n
-    return AcvEstimate(acov, n)
+    return AcvEstimate(_acv_rows(x[None], max_lag)[0], n)
 
 
 def periodogram(series, centered: bool = False) -> Periodogram:
@@ -214,10 +247,11 @@ def lag_weighted_spectrum(acv: AcvEstimate, weights: np.ndarray, n: int) -> np.n
 
 
 def _weighted_acv(x: np.ndarray, spec: LagWindowSpec) -> np.ndarray:
-    """Weighted autocovariances c_k = w(k/m) gamma_hat(k), k = 0..m."""
-    if spec.m >= x.size:
-        raise ValueError(f"truncation point must be < series length, got m={spec.m}, n={x.size}")
-    return _window_weights(spec) * sample_acv(x, spec.m).values
+    """Weighted autocovariances c_k = w(k/m) gamma_hat(k), k = 0..m, of each row of x."""
+    n = x.shape[1]
+    if spec.m >= n:
+        raise ValueError(f"truncation point must be < series length, got m={spec.m}, n={n}")
+    return _window_weights(spec) * _acv_rows(x, spec.m)
 
 
 def smoothed_periodogram(series, spec: LagWindowSpec) -> Periodogram:
@@ -229,7 +263,7 @@ def smoothed_periodogram(series, spec: LagWindowSpec) -> Periodogram:
     """
     x = series_values(series)
     n = x.size
-    ordinates = _on_grid(_lag_half(_weighted_acv(x, spec), n), n)
+    ordinates = _on_grid(_lag_half(_weighted_acv(x[None], spec)[0], n), n)
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
     return Periodogram(freqs, ordinates, kind="smoothed", window=spec.kind, truncation=spec.m)
 
@@ -255,9 +289,20 @@ def _max_table(n: int) -> int:
     return min(PRODUCT_LIMIT * n, TABLE_LIMIT)
 
 
+def _row_products(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """x @ table.T as one matrix-vector product per row.
+
+    A product over many rows at once may sum in another order than a
+    single row's does, and a band ordinate next to a zero of the spectrum
+    is sensitive to that; one product per row gives each row the same
+    values whatever batch it is in.
+    """
+    return (x[:, None, :] @ table.T)[:, 0, :]
+
+
 def _fourier_indices(indices, n: int) -> np.ndarray:
     h = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if h.size < 1 or np.any(h < 1) or np.any(h >= n):
+    if h.size < 1 or h.min() < 1 or h.max() >= n:
         raise ValueError(f"Fourier indices must lie in [1, {n}), got {h.tolist()}")
     return h
 
@@ -293,61 +338,65 @@ def _half_angle_table(n: int, indices: tuple[int, ...], m: int) -> np.ndarray:
     return table
 
 
-def periodogram_band(series, indices) -> np.ndarray:
-    """Centred periodogram at the Fourier indices h, each in [1, N).
+@_rows_or_series
+def periodogram_band(x, indices) -> np.ndarray:
+    """Centred periodogram of each row of x at the Fourier indices h, each in [1, N).
 
-    Equals ``periodogram(series, centered=True).ordinates[h - 1]``.  Read
-    off one product of the centred series with a cached (2 * len(h), N)
-    table of cosines and sines while that table fits (``_max_table``),
-    else off one rfft at min(h, N - h).
+    Row r equals ``periodogram(x[r], centered=True).ordinates[h - 1]``; the
+    result has shape (rows, len(h)), or (len(h),) for a 1-d series.  Read off
+    one product of the centred rows with a cached (2 * len(h), N) table of
+    cosines and sines while that table fits (``_max_table``), else off one
+    rfft per row at min(h, N - h).
     """
-    x = series_values(series)
-    n = x.size
+    n = x.shape[1]
     h = _fourier_indices(indices, n)
-    xc = x - x.mean()
+    xc = _centred(x)
     if 2 * h.size * n <= _max_table(n):
-        f = _dft_table(n, tuple(h.tolist())) @ xc
-        return _power(f[:h.size], f[h.size:], n)
-    f = np.fft.rfft(xc)[np.minimum(h, n - h)]
+        f = _row_products(xc, _dft_table(n, tuple(h.tolist())))
+        return _power(f[:, :h.size], f[:, h.size:], n)
+    f = np.fft.rfft(xc, axis=1)[:, np.minimum(h, n - h)]
     return _power(f.real, f.imag, n)
 
 
-def lag_window_band(series, spec: LagWindowSpec, g: int) -> np.ndarray:
-    """Lag-window spectrum at h = 1..g, ``smoothed_periodogram(...).ordinates[:g]``.
+@_rows_or_series
+def lag_window_band(x, spec: LagWindowSpec, g: int) -> np.ndarray:
+    """Lag-window spectrum of each row of x at h = 1..g, shape (rows, g) or (g,).
 
+    Row r equals ``smoothed_periodogram(x[r], spec).ordinates[:g]``:
     (c_0 + 2 sum_{k=1..m} c_k cos(w_h k)) / 2 pi comes from a cached (g, m)
     cosine table while that table fits (``_max_table``), else from one
-    length-N rfft of c sliced to the band.
+    length-N rfft of c per row sliced to the band.
     """
-    x = series_values(series)
-    n = x.size
+    n = x.shape[1]
     if not 1 <= g < n:
         raise ValueError(f"band size must lie in [1, {n}), got {g}")
     c = _weighted_acv(x, spec)
     if g * spec.m <= _max_table(n):
-        return (c[0] + 2.0 * (_cosine_table(n, g, spec.m) @ c[1:])) / (2.0 * np.pi)
+        cosine_sums = _row_products(c[:, 1:], _cosine_table(n, g, spec.m))
+        return (c[:, :1] + 2.0 * cosine_sums) / (2.0 * np.pi)
     h = np.arange(1, g + 1)
-    return _lag_half(c, n)[np.minimum(h, n - h)]
+    return _lag_half(c, n)[:, np.minimum(h, n - h)]
 
 
-def lag_window_gaps(series, spec: LagWindowSpec, indices) -> tuple[float, np.ndarray]:
-    """Lag-window spectrum at frequency 0, and its drop f(0) - f(w_j) at each j.
+@_rows_or_series
+def lag_window_gaps(x, spec: LagWindowSpec, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-window spectrum of each row of x at frequency 0, and its drop f(0) - f(w_j) at each j.
 
-    f(0) = (c_0 + 2 sum_k c_k) / 2 pi, and the drop is formed directly as
-    (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)) from a cached table of
-    2 sin(w_j k / 2)**2, in blocks of as many rows as ``_max_table`` allows
-    (one uncached row at a time when a single row does not fit).
-    Subtracting two computed ordinates instead would cancel when they nearly
-    agree, as they do next to frequency 0.
+    Shapes (rows,) and (rows, len(j)); a float and (len(j),) for a 1-d
+    series.  f(0) = (c_0 + 2 sum_k c_k) / 2 pi, and the drop is formed
+    directly as (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)) from a cached table
+    of 2 sin(w_j k / 2)**2, in blocks of as many table rows as
+    ``_max_table`` allows (one uncached row at a time when a single row does
+    not fit).  Subtracting two computed ordinates instead would cancel when
+    they nearly agree, as they do next to frequency 0.
     """
-    x = series_values(series)
-    n = x.size
+    n = x.shape[1]
     j = _fourier_indices(indices, n)
     c = _weighted_acv(x, spec)
-    origin = float(c[0] + 2.0 * c[1:].sum()) / (2.0 * np.pi)
-    rows = _max_table(n) // spec.m
-    table = _half_angle_table if rows else _half_angle_table.__wrapped__
-    step = max(1, rows)
-    drops = [table(n, tuple(j[i:i + step].tolist()), spec.m) @ c[1:]
+    origin = (c[:, 0] + 2.0 * c[:, 1:].sum(axis=1)) / (2.0 * np.pi)
+    per_block = _max_table(n) // spec.m
+    table = _half_angle_table if per_block else _half_angle_table.__wrapped__
+    step = max(1, per_block)
+    drops = [_row_products(c[:, 1:], table(n, tuple(j[i:i + step].tolist()), spec.m))
              for i in range(0, j.size, step)]
-    return origin, np.concatenate(drops) / np.pi
+    return origin, np.concatenate(drops, axis=1) / np.pi

@@ -5,12 +5,16 @@ Coefficients of a length-(2**m) series are
     w[j, k] = 2**(j/2) * sum_t x_t psi(2**j * (t / N) - k),
 
 for levels j = 0..m-1 and translations k = 0..2**j - 1: time is rescaled to
-[0, 1), so level j probes blocks of 2**(m-j) consecutive samples.  The Haar
-path is a block-sum pyramid; the Mexican hat is evaluated on its effective
-support |u| <= 8 by one matrix product of the zero-padded series, laid out
-in rows of 2**(m-j) samples, with the kernel cut into rows of the same
-length.  Both agree with the direct summation of the defining formula, which
-is kept available as a slow oracle.
+[0, 1), so level j probes blocks of 2**(m-j) consecutive samples.  The fast
+paths work on every row of a (rows, N) array at once.  The Haar path is a
+block-sum pyramid over the rows; the Mexican hat is evaluated on its
+effective support |u| <= 8 by one matrix product per row of the zero-padded
+series, laid out in rows of 2**(m-j) samples, with the kernel cut into rows
+of the same length.  The product keeps the shape of a single series on
+purpose: stacking the rows into one larger product hands it to the BLAS
+threads, and a second thread then spins between calls.  Both paths agree
+with the direct summation of the defining formula, which is kept available
+as a slow oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import series_values
+from .spectral import series_rows, series_values
 
 MEXHAT_SUPPORT = 8.0  # |psi| < 1e-12 beyond this
 
@@ -66,17 +70,17 @@ def psi(basis: WaveletBasis, u):
     return out
 
 
-def _pow2_values(series) -> tuple[np.ndarray, int]:
-    x = series_values(series)
-    m = int(np.floor(np.log2(x.size)))
+def _pow2_rows(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows cut to the largest power-of-two length 2**m, and m."""
+    m = int(np.floor(np.log2(x.shape[1])))
     keep = 1 << m
-    if keep != x.size:
+    if keep != x.shape[1]:
         warnings.warn(
-            f"series length {x.size} is not a power of two; using the first {keep} samples",
+            f"series length {x.shape[1]} is not a power of two; using the first {keep} samples",
             TruncationWarning,
             stacklevel=3,
         )
-        x = x[:keep]
+        x = x[:, :keep]
     return x, m
 
 
@@ -90,35 +94,39 @@ def _mexhat_kernel(step: int) -> np.ndarray:
 
 
 def _fast_coefficients(x: np.ndarray, m: int, basis: WaveletBasis, levels):
-    """Yield the coefficient array of each level in ``levels``."""
+    """Yield the (rows, 2**j) coefficient array of each level j in ``levels``."""
     if basis is WaveletBasis.HAAR:
         # one pyramid of pairwise sums serves every level: sums[i] holds the
         # sums over blocks of 2**i samples, and a level-j coefficient is the
-        # difference of adjacent half-block sums
+        # difference of adjacent half-block sums; the pyramid stops at the
+        # blocks of the coarsest level asked for
         sums = [x]
-        for _ in range(1, m):
-            sums.append(sums[-1][0::2] + sums[-1][1::2])
+        for _ in range(m - 1 - min(levels)):
+            sums.append(sums[-1][:, 0::2] + sums[-1][:, 1::2])
         for j in levels:
             half = sums[m - j - 1]
-            yield 2.0 ** (0.5 * j) * (half[0::2] - half[1::2])
+            yield 2.0 ** (0.5 * j) * (half[:, 0::2] - half[:, 1::2])
         return
     # coefficient k is sum_i padded[k*step + i] * kernel[i] over 16*step + 1
     # taps; with the padded series in rows of step samples and the first
     # 16*step taps in 16 such rows, taps r*step..(r+1)*step - 1 give entry
     # (r, k + r) of one matrix product, and the last tap meets row k + 16
     rows = 2 * int(MEXHAT_SUPPORT)
+    n = x.shape[1]
     for j in map(int, levels):
         step = 1 << (m - j)  # samples per unit shift of the rescaled argument
         count = 1 << j
         halfwidth = int(MEXHAT_SUPPORT) * step
         kernel = _mexhat_kernel(step)
-        padded = np.zeros(x.size + 2 * halfwidth)
-        padded[halfwidth:halfwidth + x.size] = x
-        blocks = padded.reshape(count + rows, step)
-        product = kernel[:-1].reshape(rows, step) @ blocks.T
-        w = blocks[rows:, 0] * kernel[-1]
-        for r in range(rows):
-            w += product[r, r:r + count]
+        taps = kernel[:-1].reshape(rows, step)
+        padded = np.zeros((x.shape[0], n + 2 * halfwidth))
+        padded[:, halfwidth:halfwidth + n] = x
+        blocks = padded.reshape(x.shape[0], count + rows, step)
+        w = blocks[:, rows:, 0] * kernel[-1]
+        for coefficients, series_blocks in zip(w, blocks):
+            product = taps @ series_blocks.T  # one series per product (see above)
+            for r in range(rows):
+                coefficients += product[r, r:r + count]
         yield 2.0 ** (0.5 * j) * w
 
 
@@ -141,28 +149,42 @@ def wavelet_coefficients(series, basis: WaveletBasis, j: int,
     the defining sum term by term instead of the fast path.
     """
     basis = WaveletBasis(basis)
-    x, m = _pow2_values(series)
+    x, m = _pow2_rows(series_values(series)[None])
     if not 0 <= j < m:
         raise ValueError(f"level must satisfy 0 <= j <= {m - 1}, got {j}")
     if centered:
         x = x - x.mean()
     if method == "direct":
-        return _coefficients_direct(x, basis, j)
+        return _coefficients_direct(x[0], basis, j)
     if method != "fast":
         raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
-    return next(_fast_coefficients(x, m, basis, [j]))
+    return next(_fast_coefficients(x, m, basis, [j]))[0]
+
+
+def ladder_rows(rows, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Levels j = 4..m-1, and R_hat(j) of each row of a (rows, N) array.
+
+    Each row is mean-centered first; a length that is not a power of two is
+    cut to the largest power of two below it, with one TruncationWarning.
+    Needs at least 2**6 samples so the ladder has two or more levels.
+    Returns the levels and an array of shape (rows, levels).
+    """
+    basis = WaveletBasis(basis)
+    x, m = _pow2_rows(series_rows(rows))
+    if m < 6:
+        raise ValueError(f"need a series of at least 64 samples, got {x.shape[1]}")
+    levels = np.arange(4, m)
+    x = x - x.sum(axis=1, keepdims=True) / x.shape[1]
+    values = np.empty((x.shape[0], levels.size))
+    for i, w in enumerate(_fast_coefficients(x, m, basis, levels.tolist())):
+        values[:, i] = (w**2).sum(axis=1) / w.shape[1]  # the mean square, as ``mean`` forms it
+    return levels, values
 
 
 def sample_R(series, basis: WaveletBasis) -> WaveletLadder:
     """Mean squared coefficient per level, R_hat(j) for j = 4..m-1.
 
-    The series is mean-centered first.  Needs at least 2**6 samples so the
-    ladder has two or more levels.
+    The ladder of one series: row 0 of ``ladder_rows``.
     """
-    basis = WaveletBasis(basis)
-    x, m = _pow2_values(series)
-    if m < 6:
-        raise ValueError(f"need a series of at least 64 samples, got {x.size}")
-    levels = np.arange(4, m)
-    values = [np.mean(w**2) for w in _fast_coefficients(x - x.mean(), m, basis, levels)]
-    return WaveletLadder(levels, np.array(values), m)
+    levels, values = ladder_rows(series_values(series)[None], basis)
+    return WaveletLadder(levels, values[0], int(levels[-1]) + 1)

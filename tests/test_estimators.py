@@ -1,10 +1,14 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mplm import estimators
 from mplm.dynamics import simulate_mp
 from mplm.estimators import (
     METHOD_NAMES,
@@ -12,6 +16,7 @@ from mplm.estimators import (
     check_length,
     cos_estimate,
     estimate,
+    estimate_batch,
     holder_estimate,
     holder_from_ordinates,
     memory_from_s,
@@ -452,3 +457,152 @@ def test_golden_estimates(key):
         assert result.valid is valid, method
         assert result.points_used == points_used, method
         assert abs(result.s_hat - s_hat) <= 1e-12, method
+
+
+# ---------------------------------------------------------------------------
+# batch statistics: estimate_batch row i == estimate(row i)
+# ---------------------------------------------------------------------------
+
+
+def _same_result(got, want, context):
+    # the reproducibility contract: 1e-12, relative above 1 and absolute
+    # below (a constant row's slope is rounding noise around 0)
+    assert (got.method, got.valid, got.points_used, got.reason) == (
+        want.method, want.valid, want.points_used, want.reason), context
+    for a, b in ((got.s_hat, want.s_hat), (got.slope, want.slope)):
+        if b is None or np.isnan(b):
+            assert a is None or np.isnan(a), context
+        else:
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), context
+    assert got.diagnostics.keys() == want.diagnostics.keys(), context
+    for key, value in want.diagnostics.items():
+        if isinstance(value, float):
+            assert abs(got.diagnostics[key] - value) <= 1e-12 * max(1.0, abs(value)), (
+                context, key)
+        else:
+            assert got.diagnostics[key] == value, (context, key)
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_rows(n):
+    # valid mp rows, a step whose spectrum falls too fast for parzen (slope
+    # <= -2), a constant row and a row with a NaN; read-only, made once per n
+    mp = [simulate_mp(s, n, seed=seed, burn_in=0).values
+          for s, seed in ((0.65, 61), (0.8, 62), (0.3, 63), (0.9, 64))]
+    step = (np.arange(n) < n // 3).astype(float)
+    nan_row = mp[0].copy()
+    nan_row[n // 2] = np.nan
+    rows = np.stack([mp[0], step, np.ones(n), mp[1], nan_row, mp[2], mp[3]])
+    rows.flags.writeable = False
+    return rows
+
+
+BATCH_CASES = [(method, {}) for method in METHOD_NAMES] + [
+    ("p", {"freq_index": "nyquist"}), ("sp", {"average_count": 5}),
+    ("varmp", {"block_exponent": 0.6}), ("vpmp", {"block_sizes": [8, 16, 32, 64]})]
+
+
+@pytest.mark.parametrize("n", [1001, 4096, 30000])  # odd, a power of two, even non-power
+@pytest.mark.parametrize("method,config", BATCH_CASES)
+def test_estimate_batch_matches_estimate_row_by_row(method, config, n, monkeypatch):
+    if config.get("freq_index") == "nyquist":
+        config = {"freq_index": n // 2 - 1}
+    rows = _mixed_rows(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        singles = [estimate(row, method, **config) for row in rows]
+        batch = estimate_batch(rows, method, **config)
+        # a chunk of at most 3 rows, so the 7 rows take 3 chunks
+        monkeypatch.setattr(estimators, "CHUNK_VALUES", 3 * n)
+        chunked = estimate_batch(rows, method, **config)
+    assert len(batch) == len(chunked) == len(rows)
+    for i, want in enumerate(singles):
+        for label, got in (("batch", batch), ("chunked", chunked)):
+            _same_result(got.result(i), want, f"{method} {config} n={n} row {i} {label}")
+            assert got.valid[i] == want.valid and got.points_used[i] == want.points_used
+            assert got.reason[i] == want.reason
+    # the arrays say what the rows' results say
+    assert batch.valid.tolist() == [r.valid for r in singles]
+    assert_allclose(batch.s_hat, [r.s_hat for r in singles], rtol=1e-12, atol=1e-12,
+                    equal_nan=True)
+    assert singles[4].reason == "series has a non-finite value"
+    assert singles[4].diagnostics == {} and singles[4].points_used == 0
+    if method == "parzen":
+        assert not singles[1].valid and singles[1].slope <= -2.0
+
+
+def test_estimate_batch_spans_chunks_at_the_default_size():
+    n = 30000
+    assert estimators.CHUNK_VALUES // n < 7
+    rows = _mixed_rows(n)
+    batch = estimate_batch(rows, "perio")
+    for i, row in enumerate(rows):
+        _same_result(batch.result(i), estimate(row, "perio"), f"row {i}")
+
+
+def test_estimate_batch_input_and_config_checks():
+    rows = _mixed_rows(1001)
+    with pytest.raises(ValueError, match="unknown method"):
+        estimate_batch(rows, "whittle")
+    with pytest.raises(TypeError, match="block_exponent"):
+        estimate_batch(rows, "perio", block_exponent=0.5)
+    with pytest.raises(TypeError):
+        estimate_batch(rows, "cos1", band=RegressionBand(0.6))
+    with pytest.raises(ValueError):
+        estimate_batch(np.zeros((2, 3, 4)), "perio")
+    with pytest.raises(ValueError):
+        estimate_batch(np.zeros((0, 100)), "perio")
+    with pytest.raises(ValueError, match="8 disjoint blocks"):
+        estimate_batch(rows[:, :500], "varmp")
+    # rows that are all non-finite are invalid without any length check
+    nothing = estimate_batch(np.full((3, 8), np.nan), "varmp")
+    assert not nothing.valid.any() and np.isnan(nothing.s_hat).all()
+    assert nothing.result(1).reason == "series has a non-finite value"
+
+
+def test_invalid_holder_result_keeps_its_exponent():
+    # an uninvertible exponent stays in slope, as the band regressions keep
+    # theirs; a vanished gap has no exponent to keep
+    x = simulate_mp(0.8, 4096, seed=33, burn_in=0).values
+    n, j = x.size, 2047
+    result = estimate(x, "p", freq_index=j)
+    assert not result.valid and "regularity exponent" in result.reason
+    gap = periodogram(x, centered=True).ordinates[j - 1]
+    exponent = math.log(gap) / math.log(2.0 * math.pi * j / n)
+    assert exponent <= -2.0
+    assert result.slope is not None and abs(result.slope - exponent) <= 1e-12 * abs(exponent)
+    flat = estimate(np.ones(4096), "p")
+    assert not flat.valid and "vanishes" in flat.reason and flat.slope is None
+
+
+def _shortest_length(method):
+    # the first length the method's default configuration takes
+    for n in range(1, 4096):
+        try:
+            check_length(method, n)
+            return n
+        except ValueError:
+            pass
+    raise AssertionError(method)
+
+
+SHORTEST = {method: _shortest_length(method) for method in METHOD_NAMES}
+
+
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from(METHOD_NAMES), extra=st.integers(0, 3000),
+       rows=st.integers(1, 4), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_property_batch_equals_single_on_random_binary_rows(method, extra, rows, density, seed):
+    # random 0/1 rows (constant ones included, at density 0 or 1) at any
+    # length the method takes: each batch row is the single-row estimate
+    n = SHORTEST[method] + extra
+    try:
+        check_length(method, n)
+    except ValueError:
+        return  # varmp has fewer than 8 blocks at a few lengths just above 1000
+    x = (np.random.default_rng(seed).random((rows, n)) < density).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        batch = estimate_batch(x, method)
+        for i in range(rows):
+            _same_result(batch.result(i), estimate(x[i], method), f"{method} n={n} row {i}")
