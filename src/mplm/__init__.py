@@ -17,6 +17,7 @@ from .dynamics import (
     mp_step,
     simulate_lbp,
     simulate_markov,
+    simulate_markov_batch,
     simulate_mp,
     simulate_mp_batch,
 )

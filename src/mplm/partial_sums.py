@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import derive_seed, make_rng
+from ._seeds import derive_seed, stream_uniforms
 from .dynamics import ObservableSpec, simulate_lbp_batch, simulate_mp_batch
 from .estimators import ols_slope
 from .spectral import AcvEstimate
@@ -65,7 +65,7 @@ def bernoulli_generator(p: float = 0.5):
     """Independent 0/1 draws; the s argument is ignored.  Var(S_N) = N p(1-p)."""
 
     def gen(s, n, seeds):
-        return np.stack([(make_rng(sd).random(n) < p).astype(np.float64) for sd in seeds])
+        return (stream_uniforms(seeds, n) < p).astype(np.float64)
 
     return gen
 

@@ -7,7 +7,7 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 from mplm import dynamics
-from mplm._seeds import derive_seed
+from mplm._seeds import derive_seed, make_rng
 from mplm._zeta import tail_sum, zeta_value
 from mplm.dynamics import (
     _LBP_TABLE_CELLS,
@@ -28,6 +28,7 @@ from mplm.dynamics import (
     mp_step,
     simulate_lbp,
     simulate_markov,
+    simulate_markov_batch,
     simulate_mp,
     simulate_mp_batch,
 )
@@ -324,6 +325,11 @@ def test_simulate_lbp_deterministic_binary():
 # 9, 10, ...; the lengths straddle 256 and the burn-ins put step-buffer
 # edges inside the burn-in and inside the recording.  The 40-row lbp runs
 # at gamma 2.05 visit the cells below the branch table (16,545 steps).
+# The chain entries (burn_in 0: the chain starts stationary) were recorded
+# from the per-row sampler, the batch ones as its rows stacked.  In the
+# 100-row run at gamma 2.05 and n = 50,000, 56 rows start beyond the
+# 100,000-entry stationary table and 2 rows (seeds 19 and 95) draw a jump
+# beyond the jump table.
 GOLDEN_SIMULATIONS = {
     ("simulate_mp_batch", 0.3, 1, 0, 3): "1793af6638cf27ebfd889de4bb4f4413",
     ("simulate_lbp_batch", 2.05, 1, 0, 3): "1793af6638cf27ebfd889de4bb4f4413",
@@ -372,6 +378,25 @@ GOLDEN_SIMULATIONS = {
     ("simulate_lbp", 2.25, 257, 300, 1): "0aa2914e3f8e830325e1a3b51f3cfc45",
     ("simulate_lbp", 2.538, 257, 300, 1): "a003c11012306e61835c9c6f779f7531",
     ("simulate_lbp", 3.0, 257, 300, 1): "f256e1daefa3a3f2608f360a1cb1449e",
+    ("simulate_markov", 2.05, 1, 0, 1): "eecf48da92c7c9e2865c6c2316277085",
+    ("simulate_markov", 2.05, 7, 0, 1): "1170d61d2588525e20b66d2a9c8235cc",
+    ("simulate_markov", 2.05, 255, 0, 1): "778e140c6873964340b44e75a682bf63",
+    ("simulate_markov", 2.05, 3000, 0, 1): "8894f02ee511f8b216527e2dd03fe767",
+    ("simulate_markov", 2.25, 1, 0, 1): "c804ce198ec337e3dc762bdd1a09aece",
+    ("simulate_markov", 2.25, 7, 0, 1): "3da9eb17cb1cdb39eec6635644e2d94a",
+    ("simulate_markov", 2.25, 255, 0, 1): "094277d529b097122c7eb61cebe0b133",
+    ("simulate_markov", 2.25, 3000, 0, 1): "a52cc32f85d95a36ec0c4a5eb97b1a96",
+    ("simulate_markov", 2.538, 1, 0, 1): "c804ce198ec337e3dc762bdd1a09aece",
+    ("simulate_markov", 2.538, 7, 0, 1): "72a3709bae2987a4a4e5dc0dcd60e5b0",
+    ("simulate_markov", 2.538, 255, 0, 1): "173976c822ed6f3eb91f3afef646f3b0",
+    ("simulate_markov", 2.538, 3000, 0, 1): "36754bc264307ec5b174f1fdcef14413",
+    ("simulate_markov", 3.0, 1, 0, 1): "c804ce198ec337e3dc762bdd1a09aece",
+    ("simulate_markov", 3.0, 7, 0, 1): "ba2723b7c7438f8667d7518a23db4a06",
+    ("simulate_markov", 3.0, 255, 0, 1): "a53d81b3ecd7cd2d9290b143309fa744",
+    ("simulate_markov", 3.0, 3000, 0, 1): "5ad3d9ee1096cf800ec238b680d2b4f6",
+    ("simulate_markov_batch", 2.05, 3000, 0, 3): "9aa642b15348892d84912d5891395e96",
+    ("simulate_markov_batch", 3.0, 255, 0, 3): "29cf4b0dc5cd5f346a511181f97ae3d5",
+    ("simulate_markov_batch", 2.05, 50000, 0, 100): "e26635d50eff2707474407a6f0ebd775",
 }
 
 
@@ -380,10 +405,11 @@ def test_golden_simulations(key):
     name, exponent, n, burn_in, rows = key
     simulator = getattr(dynamics, name)
     seeds = list(range(9, 9 + rows))
+    kwargs = {} if name.startswith("simulate_markov") else {"burn_in": burn_in}
     if name.endswith("_batch"):
-        values = simulator(exponent, n, seeds, burn_in=burn_in)
+        values = simulator(exponent, n, seeds, **kwargs)
     else:
-        values = simulator(exponent, n, seeds[0], burn_in=burn_in).values
+        values = simulator(exponent, n, seeds[0], **kwargs).values
     assert values.shape == ((rows, n) if name.endswith("_batch") else (n,))
     digest = hashlib.blake2b(values.tobytes(), digest_size=16).hexdigest()
     assert digest == GOLDEN_SIMULATIONS[key]
@@ -498,6 +524,41 @@ def test_markov_run_length_distribution():
         observed = np.mean(gaps == n)
         se = np.sqrt(expected * (1 - expected) / gaps.size)
         assert abs(observed - expected) < 5.0 * se
+
+
+def test_simulate_markov_batch_rows_match_single_runs(monkeypatch):
+    # at gamma 2.05 the jump sum is heavy-tailed, and some rows' first
+    # prefix of draws ends before n: those rows are drawn again, longer
+    draws = dynamics.stream_uniforms
+    calls = []
+
+    def spy(seeds, count):
+        calls.append((len(seeds), count))
+        return draws(seeds, count)
+
+    monkeypatch.setattr(dynamics, "stream_uniforms", spy)
+    seeds = list(range(40, 100))
+    rows = simulate_markov_batch(2.05, 2000, seeds)
+    assert len(calls) >= 2
+    assert calls[1][0] < len(seeds) and calls[1][1] == 2 * calls[0][1]
+    monkeypatch.undo()
+    for seed, row in zip(seeds, rows):
+        assert np.array_equal(row, simulate_markov(2.05, 2000, seed).values)
+
+
+def test_simulate_markov_batch_heavy_stationary_tail():
+    # at gamma 2.03 a stationary start state can exceed 2**63, and at 2.001
+    # inverting the tail out to it overflows a float; such a start lies
+    # beyond n, so the row is all ones
+    gamma, seeds = 2.03, list(range(40))
+    huge = [dynamics._stationary_tail_mass(gamma, 2**63) > 1.0 - make_rng(sd).random()
+            for sd in seeds]
+    assert any(huge)
+    rows = simulate_markov_batch(gamma, 50, seeds)
+    assert np.all(rows[huge] == 1.0)
+    for n in (50, 2 * dynamics._ZIPF_TABLE_SIZE):
+        rows = simulate_markov_batch(2.001, n, list(range(12)))
+        assert rows.shape == (12, n) and (rows == 1.0).all(axis=1).sum() >= 6
 
 
 def test_markov_rejects_gamma_at_most_two():

@@ -78,6 +78,11 @@ def test_run_experiment_deterministic_across_thread_counts(tmp_path):
     write_summaries_csv(first, a)
     write_summaries_csv(second, b)
     assert a.read_bytes() == b.read_bytes()
+    # the renewal chain and the lbp map draw their streams per call too
+    for model in ("lbp", "markov"):
+        spec = ExperimentSpec((0.6, 0.8), (1024,), ("perio", "varmp"), 6,
+                              base_seed=42, model=model, burn_in=100)
+        assert run_experiment(spec, threads=1) == run_experiment(spec, threads=4)
 
 
 def test_run_experiment_row_order_follows_grid():

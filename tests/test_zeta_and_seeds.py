@@ -3,7 +3,7 @@ import pytest
 import scipy.special as sps
 from numpy.testing import assert_allclose
 
-from mplm._seeds import derive_seed, make_rng
+from mplm._seeds import derive_seed, make_rng, stream_uniforms
 from mplm._zeta import partial_sums, tail_sum, zeta_value
 
 APERY = 1.2020569031595943  # sum of n**-3
@@ -68,3 +68,19 @@ def test_make_rng_reproducible():
 def test_make_rng_rejects_non_integer():
     with pytest.raises(TypeError):
         make_rng(1.5)
+
+
+@pytest.mark.parametrize("count", [1, 5, 1000])
+def test_stream_uniforms_rows_equal_make_rng(count):
+    values = [0, 1, -1, 2**63, 2**64 - 1]
+    seeds = values + [np.int64(v) for v in values if -2**63 <= v < 2**63]
+    seeds += [np.uint64(v) for v in values if v >= 0]
+    rows = stream_uniforms(seeds, count)
+    assert rows.shape == (len(seeds), count)
+    for seed, row in zip(seeds, rows):
+        assert np.array_equal(row, make_rng(seed).random(count))
+
+
+def test_stream_uniforms_rejects_non_integer():
+    with pytest.raises(TypeError):
+        stream_uniforms([3, 1.5], 4)
