@@ -200,11 +200,17 @@ def _design(xs: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 def _fit_rows(design, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares slope and intercept of each row of ys on the abscissae of ``design``."""
+    """Least-squares slope and intercept of each row of ys on the abscissae of ``design``.
+
+    One dot product per row, as in ``spectral._row_products``: a product
+    over many rows at once may sum in another order than a single row's,
+    and a near-zero slope (a flat spectrum) carries that rounding into its
+    r_squared, so each row gets the same values whatever batch it is in.
+    """
     xc, xbar, sxx = design
     if ys.shape[1] != xc.size:
         raise ValueError("need two or more paired points")
-    slope = (ys @ xc) / sxx
+    slope = (ys[:, None, :] @ xc)[:, 0] / sxx
     return slope, ys.sum(axis=1) / xc.size - slope * xbar
 
 
@@ -216,11 +222,13 @@ def ols_slope(xs, ys) -> tuple[float, float]:
 
 
 def _r_squared(design, ys, slope) -> np.ndarray:
-    # R^2 = slope^2 Sxx / Syy; a row with no spread (a band clamped
-    # throughout) is fitted exactly, and its Syy is rounding noise
+    # R^2 = slope^2 Sxx / Syy; a row whose spread is within rounding of its
+    # values (a band clamped throughout, or the flat spectrum of a lone
+    # spike) is fitted exactly, and its Syy is rounding noise
     xc, _, sxx = design
     dev = ys - ys.sum(axis=1, keepdims=True) / xc.size
-    flat = ys.max(axis=1) == ys.min(axis=1)
+    scale = np.maximum(1.0, np.abs(ys).max(axis=1))
+    flat = ys.max(axis=1) - ys.min(axis=1) <= 64.0 * np.finfo(np.float64).eps * scale
     return np.where(flat, 1.0, slope * slope * sxx / np.where(flat, 1.0, (dev * dev).sum(axis=1)))
 
 

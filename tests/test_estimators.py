@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -592,6 +592,11 @@ SHORTEST = {method: _shortest_length(method) for method in METHOD_NAMES}
 @settings(max_examples=40, deadline=None)
 @given(method=st.sampled_from(METHOD_NAMES), extra=st.integers(0, 3000),
        rows=st.integers(1, 4), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+# rows with one or two zeros: a lone spike's flat periodogram has no spread
+# but rounding, and cos2's near-zero slope carries any change in summation
+# order into its r_squared
+@example(method="perio", extra=3, rows=2, density=0.921875, seed=0)
+@example(method="cos2", extra=2500, rows=2, density=0.9995, seed=0)
 def test_property_batch_equals_single_on_random_binary_rows(method, extra, rows, density, seed):
     # random 0/1 rows (constant ones included, at density 0 or 1) at any
     # length the method takes: each batch row is the single-row estimate
