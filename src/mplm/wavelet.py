@@ -8,13 +8,14 @@ for levels j = 0..m-1 and translations k = 0..2**j - 1: time is rescaled to
 [0, 1), so level j probes blocks of 2**(m-j) consecutive samples.  The fast
 paths work on every row of a (rows, N) array at once.  The Haar path is a
 block-sum pyramid over the rows; the Mexican hat is evaluated on its
-effective support |u| <= 8 by one matrix product per row of the zero-padded
-series, laid out in rows of 2**(m-j) samples, with the kernel cut into rows
-of the same length.  The product keeps the shape of a single series on
-purpose: stacking the rows into one larger product hands it to the BLAS
-threads, and a second thread then spins between calls.  Both paths agree
-with the direct summation of the defining formula, which is kept available
-as a slow oracle.
+effective support |u| <= 8 by one matrix product per row and level: each
+level lays its window of one zero-padded copy out in rows of 2**(m-j)
+samples, times the kernel cut into 16 rows of that length, and one strided
+view sums the product's diagonals.  The product keeps the shape of a single
+series on purpose: stacking the rows into one larger product hands it to
+the BLAS threads, and a second thread then spins between calls.  Both paths
+agree with the direct summation of the defining formula, which is kept
+available as a slow oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .spectral import series_rows, series_values
 
@@ -110,23 +112,27 @@ def _fast_coefficients(x: np.ndarray, m: int, basis: WaveletBasis, levels):
     # coefficient k is sum_i padded[k*step + i] * kernel[i] over 16*step + 1
     # taps; with the padded series in rows of step samples and the first
     # 16*step taps in 16 such rows, taps r*step..(r+1)*step - 1 give entry
-    # (r, k + r) of one matrix product, and the last tap meets row k + 16
+    # (r, k + r) of one matrix product, and the last tap meets row k + 16;
+    # one copy padded for the coarsest level holds every level's window
     rows = 2 * int(MEXHAT_SUPPORT)
     n = x.shape[1]
+    widest = int(MEXHAT_SUPPORT) << (m - min(levels))
+    padded = np.zeros((x.shape[0], n + 2 * widest))
+    padded[:, widest:widest + n] = x
     for j in map(int, levels):
         step = 1 << (m - j)  # samples per unit shift of the rescaled argument
         count = 1 << j
         halfwidth = int(MEXHAT_SUPPORT) * step
         kernel = _mexhat_kernel(step)
         taps = kernel[:-1].reshape(rows, step)
-        padded = np.zeros((x.shape[0], n + 2 * halfwidth))
-        padded[:, halfwidth:halfwidth + n] = x
-        blocks = padded.reshape(x.shape[0], count + rows, step)
-        w = blocks[:, rows:, 0] * kernel[-1]
+        blocks = padded[:, widest - halfwidth:widest + n + halfwidth].reshape(
+            x.shape[0], count + rows, step)
+        w = np.empty((x.shape[0], count))
         for coefficients, series_blocks in zip(w, blocks):
             product = taps @ series_blocks.T  # one series per product (see above)
-            for r in range(rows):
-                coefficients += product[r, r:r + count]
+            s0, s1 = product.strides
+            as_strided(product, (rows, count), (s0 + s1, s1)).sum(axis=0, out=coefficients)
+        w += blocks[:, rows:, 0] * kernel[-1]
         yield 2.0 ** (0.5 * j) * w
 
 

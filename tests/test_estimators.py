@@ -1,6 +1,10 @@
 import functools
+import importlib.util
+import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mplm import estimators
-from mplm.dynamics import simulate_mp
+from mplm._seeds import derive_seed
+from mplm.dynamics import simulate_mp, simulate_mp_batch
 from mplm.estimators import (
     METHOD_NAMES,
     RegressionBand,
@@ -457,6 +462,48 @@ def test_golden_estimates(key):
         assert result.valid is valid, method
         assert result.points_used == points_used, method
         assert abs(result.s_hat - s_hat) <= 1e-12, method
+
+
+def _perfbench_module(name):
+    # read-only use of the benchmark's own definitions, loaded from its file
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_reference_slice():
+    # the first two rows of every (s, N) cell of the estimate-corpus
+    # benchmark at its reference seed, all ten methods, against the stored
+    # reference at the benchmark's own tolerance: a statistic change that
+    # would fail the benchmark's correctness check fails here first
+    workloads, reference = _perfbench_module("workloads"), _perfbench_module("reference")
+    corpus = workloads.workloads()["estimate-corpus"]
+    with open(reference.REFERENCE_FILE) as f:
+        want = json.load(f)["estimate-corpus"]["corpus"]["records"]
+    methods, tol = workloads.METHODS, reference.REFERENCE_TOL
+    for a, s in enumerate(corpus.s):
+        # the cells' seeds as ``CorpusWorkload.prepare`` derives them; a
+        # row of a simulated batch does not depend on the other rows
+        picked = [c * corpus.rows + r for c in range(len(corpus.n)) for r in (0, 1)]
+        seeds = [derive_seed(reference.REFERENCE_SEED, "perfbench-corpus", s, i) for i in picked]
+        batch = simulate_mp_batch(s, max(corpus.n), seeds, burn_in=0)
+        for c, n in enumerate(corpus.n):
+            for r in (0, 1):
+                x = np.ascontiguousarray(batch[2 * c + r, :n])
+                for m, method in enumerate(methods):
+                    i = ((a * len(corpus.n) + c) * corpus.rows + r) * len(methods) + m
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", TruncationWarning)
+                        result = estimate(x, method)
+                    key, (s_hat,), _ = want[i]
+                    assert key == [s, n, r, method, result.valid], key
+                    if math.isnan(s_hat):
+                        assert math.isnan(result.s_hat), key
+                    else:
+                        assert abs(result.s_hat - s_hat) <= tol * max(1.0, abs(s_hat)), key
 
 
 # ---------------------------------------------------------------------------

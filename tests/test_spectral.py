@@ -1,8 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mplm import spectral
+from mplm.dynamics import simulate_mp
 from mplm.spectral import (
+    BLOCK_FFT,
+    LAG_LIMIT,
     PRODUCT_LIMIT,
     TABLE_LIMIT,
     LagWindowSpec,
@@ -15,7 +21,7 @@ from mplm.spectral import (
     sample_acv,
     smoothed_periodogram,
 )
-from mplm.spectral import _cosine_table, _dft_table, _half_angle_table
+from mplm.spectral import _acv_rows, _cosine_table, _dft_table, _half_angle_table
 
 
 def direct_periodogram(x):
@@ -61,13 +67,15 @@ def test_acv_bounded_by_lag_zero():
 
 
 def test_acv_matches_direct_sum():
-    # the FFT length is the smallest 5-smooth number >= n + max_lag + 1:
-    # 101 + 30 + 1 = 132 pads to 135, 100 + 27 + 1 = 128 and 97 + 46 + 1 = 144
-    # are 5-smooth themselves, 100 + 28 + 1 = 129 is one above, and
-    # max_lag = n - 1 reaches the longest lag there is
+    # short series take one transform, whose length is the smallest 5-smooth
+    # number >= n + max_lag + 1: 101 + 30 + 1 = 132 pads to 135,
+    # 100 + 27 + 1 = 128 and 97 + 46 + 1 = 144 are 5-smooth themselves,
+    # 100 + 28 + 1 = 129 is one above, and max_lag = n - 1 reaches the
+    # longest lag there is; (4096, 12) takes the dot products and
+    # (17530, 100) the blocks, nine of 1947 samples and a last one of 7
     rng = np.random.default_rng(4)
     for n, max_lag in ((101, 30), (100, 27), (97, 46), (100, 28), (101, 100), (64, 63),
-                       (2, 1), (1, 0)):
+                       (2, 1), (1, 0), (4096, 12), (17530, 100)):
         x = rng.random(n)
         xc = x - x.mean()
         acv = sample_acv(x, max_lag)
@@ -75,6 +83,82 @@ def test_acv_matches_direct_sum():
         for h in range(max_lag + 1):
             ref = np.sum(xc[: n - h] * xc[h:]) / n
             assert_allclose(acv.values[h], ref, atol=1e-12, err_msg=f"n={n} h={h}")
+
+
+def exact_acv(x, max_lag):
+    """gamma_hat(0..max_lag) of a 0/1 series in exact rational arithmetic."""
+    ones = x.astype(np.int64)
+    n, total = ones.size, int(ones.sum())
+    mean = Fraction(total, n)
+    prefix = np.concatenate([[0], np.cumsum(ones)])
+    out = []
+    for k in range(max_lag + 1):
+        lagged = int(ones[:n - k] @ ones[k:])
+        head, tail = int(prefix[n - k]), total - int(prefix[k])
+        out.append((lagged - mean * (head + tail) + (n - k) * mean * mean) / n)
+    return out
+
+
+# (n, max_lag) per route: the dot products (cos2's m at n = 4096 and 30000),
+# blocks (nine of BLOCK_FFT - 101 = 1947 samples and a ragged last one of 7;
+# cos1's m at n = 30000) and the one transform (cos1 at n = 1000, a
+# parzen-sized m at n = 2000)
+_ACV_ROUTES = {
+    "direct": ((4096, 12), (30000, 22)),
+    "blocks": ((9 * (BLOCK_FFT - 101) + 7, 100), (30000, 173)),
+    "transform": ((1000, 31), (2000, 900)),
+}
+
+
+def _route(n, max_lag):
+    if 2 * BLOCK_FFT <= n and max_lag < LAG_LIMIT and 8 * (max_lag + 1) ** 2 <= n:
+        return "direct"
+    if 2 * (max_lag + 1) <= BLOCK_FFT and 8 * BLOCK_FFT <= n:
+        return "blocks"
+    return "transform"
+
+
+def _binary_rows(rng, n):
+    # dense, sparse and balanced 0/1 rows and one intermittent-map row
+    rows = [(rng.random(n) < p).astype(float) for p in (0.5, 0.03, 0.97, rng.uniform(0.2, 0.8))]
+    return np.array(rows + [simulate_mp(0.65, n, seed=n, burn_in=0).values])
+
+
+@pytest.mark.parametrize("route", sorted(_ACV_ROUTES))
+def test_acv_routes_against_exact_sums(route, monkeypatch):
+    # each route's error on a 0/1 row is no larger than the one transform's:
+    # the dot products and the blocks sum 0/1 rows exactly and round once
+    rng = np.random.default_rng(41)
+    for n, max_lag in _ACV_ROUTES[route]:
+        assert _route(n, max_lag) == route
+        rows = _binary_rows(rng, n)
+        got = _acv_rows(rows, max_lag)
+        with monkeypatch.context() as forced:
+            forced.setattr(spectral, "LAG_LIMIT", 0)
+            forced.setattr(spectral, "BLOCK_FFT", 0)
+            transform = _acv_rows(rows, max_lag)
+        for r, row in enumerate(rows):
+            exact = exact_acv(row, max_lag)
+            want = np.array([float(v) for v in exact])
+            error = max(abs(Fraction(float(a)) - b) for a, b in zip(got[r], exact))
+            transform_error = max(abs(Fraction(float(a)) - b) for a, b in zip(transform[r], exact))
+            assert error <= transform_error, (n, max_lag, r)
+            assert transform_error <= 8 * np.spacing(want[0]), (n, max_lag, r)
+            if route != "transform":
+                assert np.array_equal(got[r], want), (n, max_lag, r)
+
+
+@pytest.mark.parametrize("route", sorted(_ACV_ROUTES))
+def test_acv_routes_batch_equals_single(route):
+    # a row gets the same bits alone and in a batch of five, which here
+    # also holds a row that is not 0/1 and so is centred first
+    rng = np.random.default_rng(42)
+    for n, max_lag in _ACV_ROUTES[route]:
+        rows = _binary_rows(rng, n)
+        rows[1] *= 0.5
+        batch = _acv_rows(rows, max_lag)
+        for r in range(len(rows)):
+            assert np.array_equal(batch[r], _acv_rows(rows[r:r + 1], max_lag)[0]), (n, max_lag, r)
 
 
 def test_acv_rejects_bad_lag_and_constant_autocorrelation():

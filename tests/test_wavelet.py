@@ -6,6 +6,9 @@ from mplm.dynamics import simulate_mp
 from mplm.estimators import ols_slope
 from mplm.wavelet import (
     TruncationWarning,
+    WaveletBasis,
+    _coefficients_direct,
+    ladder_rows,
     psi,
     sample_R,
     wavelet_coefficients,
@@ -109,6 +112,29 @@ def test_sample_R_zero_series_and_brute_force():
             w = wavelet_coefficients(x, basis, int(level))
             assert_allclose(value, np.mean(w**2), rtol=1e-12)
         assert np.all(ladder.values >= 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_mexhat_ladder_matches_direct_summation(n):
+    # every level reads its window of one copy padded for the coarsest level
+    # (j = 4): the shortest ladder, and the coarsest and finest offsets
+    rng = np.random.default_rng(n)
+    x = (rng.random(n) < 0.3).astype(float)
+    levels, values = ladder_rows(x, "mexhat")
+    assert np.array_equal(levels, np.arange(4, n.bit_length() - 1))
+    xc = x - x.mean()
+    for level, value in zip(levels, values[0]):
+        w = _coefficients_direct(xc, WaveletBasis.MEXICAN_HAT, int(level))
+        assert_allclose(value, np.mean(w**2), rtol=1e-12, err_msg=f"n={n} j={level}")
+
+
+@pytest.mark.parametrize("basis", ["haar", "mexhat"])
+def test_ladder_rows_batch_equals_single(basis):
+    rng = np.random.default_rng(15)
+    rows = (rng.random((3, 2048)) < [[0.1], [0.5], [0.9]]).astype(float)
+    _, batch = ladder_rows(rows, basis)
+    for r in range(3):
+        assert np.array_equal(batch[r], ladder_rows(rows[r], basis)[1][0]), r
 
 
 def test_sample_R_needs_64_samples():
