@@ -21,21 +21,8 @@ from .dynamics import (
     simulate_mp,
     simulate_mp_batch,
 )
-from .estimators import (
-    BatchEstimate,
-    EstimateResult,
-    RegressionBand,
-    cos_estimate,
-    estimate,
-    estimate_batch,
-    holder_estimate,
-    ols_slope,
-    parzen_estimate,
-    perio_estimate,
-    varmp_estimate,
-    vpmp_estimate,
-    wmp_estimate,
-)
+from .estimators import (BatchEstimate, EstimateResult, RegressionBand, estimate, estimate_batch,
+                         ols_slope)
 from .montecarlo import ExperimentSpec, McSummary, preset_experiment, run_experiment, summarize
 from .partial_sums import ScalingFit, scaling_exponent, var_partial_sum
 from .spectral import (

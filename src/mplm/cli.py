@@ -163,6 +163,8 @@ def _cmd_spectrum(args) -> int:
     started = _utc_now()
     x = _read_series(args.infile)
     if args.smooth == "none":
+        if args.m is not None:
+            raise ValueError("--smooth none does not take --m")
         per = periodogram(x)
     else:
         m = default_truncation(x.size) if args.m is None else args.m
@@ -195,8 +197,7 @@ def _cmd_estimate(args) -> int:
         "points_used": result.points_used,
         "valid": result.valid,
         "reason": result.reason,
-        "diagnostics": {k: (v if not isinstance(v, (np.floating, np.integer)) else float(v))
-                        for k, v in result.diagnostics.items()},
+        "diagnostics": result.diagnostics,
     }
     if args.json:
         print(json.dumps(doc, sort_keys=True, default=str))

@@ -27,10 +27,10 @@ looks the method up in ``_METHODS``: a statistic over the rows (spectral
 bands from ``spectral``, block variances here, the variance ladder from
 ``wavelet``) followed by its closed-form inversion, vectorised over the
 rows.  It returns a ``BatchEstimate`` of per-row arrays.  ``estimate`` is
-row 0 of a one-row batch, and the per-method functions (``perio_estimate``
-... ``holder_estimate``) and the scalar inversions
+row 0 of a one-row batch, and the scalar inversions
 (``s_from_spectral_ordinates`` ... ``holder_from_ordinates``) are views of
-the same path.
+the same path.  ``estimate(x, name, **config)`` is the one entry point for a
+single series: a method's keyword arguments are listed in ``_METHODS``.
 """
 
 from __future__ import annotations
@@ -281,7 +281,9 @@ def _band_rows(x: np.ndarray, method: str, band: RegressionBand = RegressionBand
                window: str | None = None, truncation: int | None = None) -> BatchEstimate:
     # log-regression over the band of the centred periodogram (window None)
     # or of a lag-window spectrum; default truncation floor(N**0.9) for
-    # parzen and floor(N**(1 - alpha)) for the cosine bell
+    # parzen and floor(N**(1 - alpha)) for the cosine bell, whose kernel then
+    # spans about as many Fourier bins as the band holds, the pairing that
+    # keeps the band-wide regression stable
     rows, n = x.shape
     _check_band_length(n)
     g = band.size(n)
@@ -467,9 +469,11 @@ def _holder_indices(n: int, freq_index: int = 1, average_count: int | None = Non
 
 def _holder_rows(x: np.ndarray, method: str, smoothing: str, freq_index: int = 1,
                  average_count: int | None = None) -> BatchEstimate:
-    # the statistics centre the rows themselves: the raw periodogram then
-    # vanishes at frequency 0 and is its own gap, while the Parzen spectrum
-    # gives its gap to frequency 0 directly
+    # the gap |f(0) - f(w_j)| at the single index freq_index, or averaged
+    # over j = 1..average_count; the statistics centre the rows themselves:
+    # the raw periodogram then vanishes at frequency 0 and is its own gap,
+    # while the Parzen spectrum gives its gap to frequency 0 directly.  An
+    # invalid row keeps the mean exponent in ``slope`` unless a gap vanished
     rows, n = x.shape
     indices = _holder_indices(n, freq_index, average_count)
     if smoothing == "none":
@@ -536,25 +540,6 @@ def check_length(method: str, n: int) -> None:
     _METHODS[method][3](n)
 
 
-def _estimate_rows(statistic, method: str, rows, **arguments) -> BatchEstimate:
-    # the statistic on chunks of at most CHUNK_VALUES samples; a row with a
-    # non-finite value is computed as zeros and then marked invalid
-    x = series_rows(rows)
-    finite = np.isfinite(x).all(axis=1)
-    finite_rows = np.count_nonzero(finite)
-    if finite_rows == 0:
-        return _finish(method, np.full(finite.size, np.nan), np.full(finite.size, np.nan), 0,
-                       ~finite, lambda i: NON_FINITE, {})
-    if finite_rows < finite.size:
-        x = np.where(finite[:, None], x, 0.0)
-    step = max(1, CHUNK_VALUES // x.shape[1])
-    parts = [statistic(x[i:i + step], method, **arguments) for i in range(0, len(x), step)]
-    out = parts[0] if len(parts) == 1 else BatchEstimate.concatenate(parts)
-    if finite_rows < finite.size:
-        out.invalidate(~finite, NON_FINITE)
-    return out
-
-
 def estimate_batch(rows, method: str, **config) -> BatchEstimate:
     """Run the named method (see ``METHOD_NAMES``) on every row of a (rows, N) array.
 
@@ -572,7 +557,22 @@ def estimate_batch(rows, method: str, **config) -> BatchEstimate:
     for key in config:
         if key not in keys:
             raise TypeError(f"method {method!r} got an unexpected keyword argument {key!r}")
-    return _estimate_rows(statistic, method, rows, **fixed, **config)
+    # a row with a non-finite value is computed as zeros and then marked invalid
+    x = series_rows(rows)
+    finite = np.isfinite(x).all(axis=1)
+    finite_rows = np.count_nonzero(finite)
+    if finite_rows == 0:
+        return _finish(method, np.full(finite.size, np.nan), np.full(finite.size, np.nan), 0,
+                       ~finite, lambda i: NON_FINITE, {})
+    if finite_rows < finite.size:
+        x = np.where(finite[:, None], x, 0.0)
+    step = max(1, CHUNK_VALUES // x.shape[1])
+    parts = [statistic(x[i:i + step], method, **fixed, **config)
+             for i in range(0, len(x), step)]
+    out = parts[0] if len(parts) == 1 else BatchEstimate.concatenate(parts)
+    if finite_rows < finite.size:
+        out.invalidate(~finite, NON_FINITE)
+    return out
 
 
 def estimate(series, method: str, **config) -> EstimateResult:
@@ -584,66 +584,3 @@ def estimate(series, method: str, **config) -> EstimateResult:
     """
     return estimate_batch(series_values(series)[None], method, **config).result(0)
 
-
-# The per-method functions: views of the same batch path.
-
-def perio_estimate(series, band: RegressionBand = RegressionBand(0.5)) -> EstimateResult:
-    """Log-periodogram regression estimate of s."""
-    return estimate(series, "perio", band=band)
-
-
-def parzen_estimate(series, band: RegressionBand = RegressionBand(0.5),
-                    truncation: int | None = None) -> EstimateResult:
-    """Log-regression on the Parzen-smoothed spectrum, m = floor(N**0.9)."""
-    return estimate(series, "parzen", band=band, truncation=truncation)
-
-
-def cos_estimate(series, band: RegressionBand,
-                 truncation: int | None = None, method: str | None = None) -> EstimateResult:
-    """Log-regression on the cosine-bell smoothed spectrum.
-
-    Band exponents 0.5 and 0.7 are the conventional cos1 / cos2 variants.
-    The default truncation is floor(N**(1 - alpha)): the smoothing kernel
-    then spans about as many Fourier bins as the regression band holds,
-    which is the pairing that keeps the band-wide regression stable.
-    """
-    if method is None:
-        method = "cos1" if band.alpha < 0.6 else "cos2"
-    return _estimate_rows(_band_rows, method, series_values(series)[None], band=band,
-                          window="cosbell", truncation=truncation).result(0)
-
-
-def varmp_estimate(series, block_exponent: float = 0.7) -> EstimateResult:
-    """Variance of disjoint block sums at a single block length N**theta."""
-    return estimate(series, "varmp", block_exponent=block_exponent)
-
-
-def vpmp_estimate(series, block_sizes=None) -> EstimateResult:
-    """Variance plot over a geometric grid of block lengths."""
-    return estimate(series, "vpmp", block_sizes=block_sizes)
-
-
-def wmp_estimate(series, basis: WaveletBasis = WaveletBasis.HAAR) -> EstimateResult:
-    """Wavelet variance-ladder estimate of s (valid for s >= 1 as well)."""
-    return estimate(series, f"wmp-{WaveletBasis(basis).value}")
-
-
-def holder_estimate(series, smoothing: str = "none", freq_index: int = 1,
-                    average_count: int | None = None) -> EstimateResult:
-    """Regularity of the spectrum at frequency zero, inverted to s.
-
-    The series is mean-centered, so the raw periodogram vanishes at
-    frequency zero and the gap |I(0) - I(w_j)| reduces to I(w_j);
-    ``smoothing="parzen"`` replaces the periodogram by the smoothed
-    spectrum, whose frequency-0 ordinate is genuinely nonzero, and forms
-    its gap directly as |(1/pi) sum_{k=1..m} c_k (1 - cos(w_j k))| from the
-    weighted autocovariances c_k rather than as a difference of two nearly
-    equal ordinates.  Uses the single Fourier index ``freq_index`` by
-    default; ``average_count=J`` instead averages the estimate over
-    j = 1..J, for 1 <= J < N // 2.  An invalid result keeps the mean
-    exponent in ``slope`` unless a gap vanished.
-    """
-    if smoothing not in ("none", "parzen"):
-        raise ValueError(f"smoothing must be 'none' or 'parzen', got {smoothing!r}")
-    return estimate(series, "p" if smoothing == "none" else "sp", freq_index=freq_index,
-                    average_count=average_count)

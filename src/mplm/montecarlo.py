@@ -2,8 +2,8 @@
 
 A run is a grid of cells (s, N, method).  Replication r of a cell draws
 its series from a stream keyed by (base seed, model, s, N, method, r), so
-results are reproducible and independent of scheduling: the worker pool
-can be any size without changing a digit.
+results are reproducible and do not depend on the order the cells run in.
+Cells run one after another on the calling thread.
 
 A cell simulates its replications as one (replications, N) array and
 estimates every row with one ``estimate_batch`` call; row r of that batch
@@ -18,7 +18,6 @@ invalid is marked failed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -148,14 +147,14 @@ def _run_cell(spec: ExperimentSpec, s: float, n: int, method: str) -> McSummary:
 
 
 def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[McSummary]:
-    """Evaluate every cell of the grid; output order follows the spec grid."""
-    cells = list(spec.cells())
+    """Evaluate every cell of the grid in order on the calling thread.
+
+    ``threads`` has no effect: it is accepted for callers that pass it and
+    checked to be at least 1.
+    """
     if threads is not None and threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    if threads == 1 or len(cells) == 1:
-        return [_run_cell(spec, *cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda cell: _run_cell(spec, *cell), cells))
+    return [_run_cell(spec, *cell) for cell in spec.cells()]
 
 
 def write_summaries_csv(summaries, path) -> None:

@@ -14,7 +14,7 @@ and count.
 ``periodogram`` and ``smoothed_periodogram`` return the full grid of one
 series.  The estimators read only a band of it, and ``periodogram_band``,
 ``lag_window_band`` and ``lag_window_gaps`` compute just that band for every
-row of a (rows, N) array at once (one series counts as one row): a few
+row of a (rows, N) array at once, and return (rows, ...) arrays: a few
 ordinates from a product with a cached table of cosines and sines, a wider
 band from one real-input FFT per row sliced to it.  The gap between the
 smoothed spectrum at frequency 0 and at w_j is formed directly as
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -59,18 +59,6 @@ def series_rows(rows) -> np.ndarray:
     return x
 
 
-def _rows_or_series(statistic):
-    """Let a statistic over the rows of a (rows, N) array take one 1-d series
-    too, and give back that series' row."""
-    @wraps(statistic)
-    def either(rows, *args):
-        out = statistic(series_rows(rows), *args)
-        if np.ndim(getattr(rows, "values", rows)) != 1:
-            return out
-        return tuple(part[0] for part in out) if isinstance(out, tuple) else out[0]
-    return either
-
-
 def _centred(x: np.ndarray) -> np.ndarray:
     """Each row minus its own mean (the row sum over N, as ``mean`` forms it)."""
     return x - x.sum(axis=1, keepdims=True) / x.shape[1]
@@ -82,10 +70,6 @@ class AcvEstimate:
 
     values: np.ndarray
     n: int
-
-    @property
-    def max_lag(self) -> int:
-        return self.values.size - 1
 
     def autocorrelation(self) -> np.ndarray:
         """rho_hat(h) = gamma_hat(h) / gamma_hat(0); undefined for constants."""
@@ -283,20 +267,6 @@ def _window_weights(spec: LagWindowSpec) -> np.ndarray:
     return weights
 
 
-def lag_weighted_spectrum(acv: AcvEstimate, weights: np.ndarray, n: int) -> np.ndarray:
-    """Spectrum ordinates (h = 1..n) from weighted autocovariances.
-
-    Computes (1/2pi) [c_0 + 2 sum_k c_k cos(w_h k)] with c_k = w_k *
-    gamma_hat(k), via one length-n real-input FFT.
-    """
-    m = weights.size - 1
-    if m >= n:
-        raise ValueError(f"need truncation point < series length, got m={m}, n={n}")
-    if acv.max_lag < m:
-        raise ValueError("autocovariance estimate does not cover the window")
-    return _on_grid(_lag_half(weights * acv.values[: m + 1], n), n)
-
-
 def _weighted_acv(x: np.ndarray, spec: LagWindowSpec) -> np.ndarray:
     """Weighted autocovariances c_k = w(k/m) gamma_hat(k), k = 0..m, of each row of x."""
     n = x.shape[1]
@@ -389,12 +359,11 @@ def _half_angle_table(n: int, indices: tuple[int, ...], m: int) -> np.ndarray:
     return table
 
 
-@_rows_or_series
 def periodogram_band(x, indices) -> np.ndarray:
     """Centred periodogram of each row of x at the Fourier indices h, each in [1, N).
 
     Row r equals ``periodogram(x[r], centered=True).ordinates[h - 1]``; the
-    result has shape (rows, len(h)), or (len(h),) for a 1-d series.  Read off
+    result has shape (rows, len(h)).  Read off
     one product of the centred rows with a cached (2 * len(h), N) table of
     cosines and sines while that table fits (``_max_table``), else off one
     rfft per row at min(h, N - h).
@@ -409,9 +378,8 @@ def periodogram_band(x, indices) -> np.ndarray:
     return _power(f.real, f.imag, n)
 
 
-@_rows_or_series
 def lag_window_band(x, spec: LagWindowSpec, g: int) -> np.ndarray:
-    """Lag-window spectrum of each row of x at h = 1..g, shape (rows, g) or (g,).
+    """Lag-window spectrum of each row of x at h = 1..g, shape (rows, g).
 
     Row r equals ``smoothed_periodogram(x[r], spec).ordinates[:g]``:
     (c_0 + 2 sum_{k=1..m} c_k cos(w_h k)) / 2 pi comes from a cached (g, m)
@@ -429,17 +397,15 @@ def lag_window_band(x, spec: LagWindowSpec, g: int) -> np.ndarray:
     return _lag_half(c, n)[:, np.minimum(h, n - h)]
 
 
-@_rows_or_series
 def lag_window_gaps(x, spec: LagWindowSpec, indices) -> tuple[np.ndarray, np.ndarray]:
     """Lag-window spectrum of each row of x at frequency 0, and its drop f(0) - f(w_j) at each j.
 
-    Shapes (rows,) and (rows, len(j)); a float and (len(j),) for a 1-d
-    series.  f(0) = (c_0 + 2 sum_k c_k) / 2 pi, and the drop is formed
-    directly as (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)) from a cached table
-    of 2 sin(w_j k / 2)**2, in blocks of as many table rows as
-    ``_max_table`` allows (one uncached row at a time when a single row does
-    not fit).  Subtracting two computed ordinates instead would cancel when
-    they nearly agree, as they do next to frequency 0.
+    Shapes (rows,) and (rows, len(j)).  f(0) = (c_0 + 2 sum_k c_k) / 2 pi,
+    and the drop is formed directly as (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k))
+    from a cached table of 2 sin(w_j k / 2)**2, in blocks of as many table
+    rows as ``_max_table`` allows (one uncached row at a time when a single
+    row does not fit).  Subtracting two computed ordinates instead would
+    cancel when they nearly agree, as they do next to frequency 0.
     """
     n = x.shape[1]
     j = _fourier_indices(indices, n)

@@ -240,6 +240,26 @@ def test_estimate_flags_reach_the_method(tmp_path, capsys):
                 assert flag in err and method in err
 
 
+def test_spectrum_rejects_m_without_smoothing(tmp_path, monkeypatch, capsys):
+    # the raw periodogram has no truncation point: --m, given or from MPLM_M,
+    # is an error there, as a flag its method does not take is for estimate
+    series = tmp_path / "s.csv"
+    run_cli(["simulate", "--model", "mp", "--s", "0.8", "--n", "256",
+             "--seed", "9", "--burn-in", "0", "--out", str(series)])
+    out = tmp_path / "spec.csv"
+    argv = ["spectrum", "--in", str(series), "--out", str(out), "--smooth"]
+    capsys.readouterr()
+    assert run_cli(argv + ["none", "--m", "50"]) == 1
+    assert "--m" in capsys.readouterr().err
+    monkeypatch.setenv("MPLM_M", "50")
+    assert run_cli(argv + ["none"]) == 1
+    assert "--m" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(argv + ["parzen"]) == 0
+    manifest = json.loads((tmp_path / "spec.csv.manifest.json").read_text())
+    assert manifest["parameters"]["m"] == 50
+
+
 def test_spec_file_rejects_unknown_keys(tmp_path, capsys):
     for typo in ("replicatons=3", "r=3"):
         spec = tmp_path / "run.spec"

@@ -12,27 +12,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mplm import estimators
+from mplm import cli, estimators
 from mplm._seeds import derive_seed
 from mplm.dynamics import simulate_mp, simulate_mp_batch
 from mplm.estimators import (
     METHOD_NAMES,
     RegressionBand,
     check_length,
-    cos_estimate,
     estimate,
     estimate_batch,
-    holder_estimate,
     holder_from_ordinates,
     memory_from_s,
     ols_slope,
-    parzen_estimate,
-    perio_estimate,
     s_from_memory,
     s_from_spectral_ordinates,
-    varmp_estimate,
     varmp_from_block_variance,
-    vpmp_estimate,
     vpmp_from_variances,
     wmp_from_ladder,
 )
@@ -228,24 +222,24 @@ def test_estimate_non_finite_input_is_invalid(mp_series):
 
 def test_perio_needs_sixteen_points():
     with pytest.raises(ValueError):
-        perio_estimate(np.ones(8))
+        estimate(np.ones(8), "perio")
 
 
 def test_varmp_blocks_requirement():
     with pytest.raises(ValueError):
-        varmp_estimate(np.ones(32), block_exponent=0.9)
+        estimate(np.ones(32), "varmp", block_exponent=0.9)
 
 
 def test_varmp_invalid_on_constant_series():
-    result = varmp_estimate(np.ones(10_000))
+    result = estimate(np.ones(10_000), "varmp")
     assert not result.valid
 
 
 def test_vpmp_grid_validation(mp_series):
     with pytest.raises(ValueError):
-        vpmp_estimate(mp_series.values, block_sizes=[4, 8])
+        estimate(mp_series.values, "vpmp", block_sizes=[4, 8])
     with pytest.raises(ValueError):
-        vpmp_estimate(np.ones(100), block_sizes=[2, 4, 8, 50])
+        estimate(np.ones(100), "vpmp", block_sizes=[2, 4, 8, 50])
 
 
 def test_varmp_iid_bernoulli_near_half():
@@ -254,7 +248,7 @@ def test_varmp_iid_bernoulli_near_half():
     # plug-in to exactly 1 / (2 + log(4)/log(L))
     rng = np.random.default_rng(22)
     x = (rng.random(200_000) < 0.5).astype(float)
-    result = varmp_estimate(x)
+    result = estimate(x, "varmp")
     assert result.valid
     ell = result.diagnostics["block_length"]
     predicted = 1.0 / (2.0 + np.log(4.0) / np.log(ell))
@@ -265,7 +259,7 @@ def test_varmp_iid_bernoulli_near_half():
 def test_vpmp_iid_bernoulli_near_half():
     rng = np.random.default_rng(23)
     x = (rng.random(200_000) < 0.5).astype(float)
-    result = vpmp_estimate(x)
+    result = estimate(x, "vpmp")
     assert result.valid
     assert abs(result.s_hat - 0.5) < 0.03
 
@@ -279,9 +273,7 @@ def test_holder_pipeline_and_averaging(mp_series):
     assert smoothed.method == "sp"
     assert smoothed.diagnostics["origin_ordinate"] > 0.0
     with pytest.raises(ValueError):
-        holder_estimate(mp_series.values, smoothing="daniell")
-    with pytest.raises(ValueError):
-        holder_estimate(mp_series.values, freq_index=0)
+        estimate(mp_series.values, "p", freq_index=0)
     # the band statistics against the full-grid spectra: the gap at w_j,
     # read back from s_hat, within 1e-13 of the largest ordinate (an exponent
     # at or below -2, as near Nyquist, must be invalid on both)
@@ -379,17 +371,17 @@ def test_check_length_matches_the_estimators():
 
 def test_cos_band_and_default_truncation(mp_series):
     n = mp_series.n
-    c1 = cos_estimate(mp_series.values, RegressionBand(0.5))
+    c1 = estimate(mp_series.values, "cos1")
     assert c1.method == "cos1"
     assert c1.diagnostics["truncation"] == int(n**0.5)
-    c2 = cos_estimate(mp_series.values, RegressionBand(0.7))
+    c2 = estimate(mp_series.values, "cos2")
     assert c2.method == "cos2"
     assert c2.diagnostics["truncation"] == int(round(n**0.3))
     assert c2.points_used == int(n**0.7)
 
 
 def test_parzen_default_truncation(mp_series):
-    result = parzen_estimate(mp_series.values)
+    result = estimate(mp_series.values, "parzen")
     assert result.diagnostics["truncation"] == int(mp_series.n**0.9)
 
 
@@ -472,6 +464,22 @@ def _perfbench_module(name):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_tracer_binds_the_program(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps names it looks up in the program (some
+    # only it uses) and binds run_experiment's spec and threads arguments;
+    # a run through it must find every name and bind without error
+    monkeypatch.setitem(sys.modules, "workloads", _perfbench_module("workloads"))
+    tracer_module = _perfbench_module("tracer")
+    spec = tmp_path / "spec.txt"
+    spec.write_text("s=0.8\nn=1024\nmethods=perio\nreplications=2\nburn_in=0\n")
+    with tracer_module.Tracer() as tracer:
+        rc = cli.main(["montecarlo", "--spec", str(spec), "--threads", "2",
+                       "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert tracer.missing == []
+    assert tracer.busy["montecarlo"] > 0.0
 
 
 def test_benchmark_reference_slice():

@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mplm import montecarlo
 from mplm.dynamics import ObservableSpec
 from mplm.montecarlo import (
     ExperimentSpec,
@@ -83,6 +86,23 @@ def test_run_experiment_deterministic_across_thread_counts(tmp_path):
         spec = ExperimentSpec((0.6, 0.8), (1024,), ("perio", "varmp"), 6,
                               base_seed=42, model=model, burn_in=100)
         assert run_experiment(spec, threads=1) == run_experiment(spec, threads=4)
+
+
+def test_run_experiment_runs_every_cell_on_the_calling_thread(monkeypatch):
+    # ``threads`` is accepted and checked but starts no pool
+    idents = []
+    run_cell = montecarlo._run_cell
+
+    def spy(*args):
+        idents.append(threading.get_ident())
+        return run_cell(*args)
+
+    monkeypatch.setattr(montecarlo, "_run_cell", spy)
+    rows = run_experiment(TINY, threads=4)
+    assert len(idents) == len(rows) == len(list(TINY.cells()))
+    assert set(idents) == {threading.get_ident()}
+    with pytest.raises(ValueError, match=">= 1"):
+        run_experiment(TINY, threads=0)
 
 
 def test_run_experiment_row_order_follows_grid():

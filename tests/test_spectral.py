@@ -12,7 +12,6 @@ from mplm.spectral import (
     PRODUCT_LIMIT,
     TABLE_LIMIT,
     LagWindowSpec,
-    lag_weighted_spectrum,
     lag_window_band,
     lag_window_gaps,
     lag_window_weight,
@@ -21,7 +20,8 @@ from mplm.spectral import (
     sample_acv,
     smoothed_periodogram,
 )
-from mplm.spectral import _acv_rows, _cosine_table, _dft_table, _half_angle_table
+from mplm.spectral import (_acv_rows, _cosine_table, _dft_table, _half_angle_table, _lag_half,
+                           _on_grid)
 
 
 def direct_periodogram(x):
@@ -204,15 +204,15 @@ def test_periodogram_matches_direct_summation():
                  np.arange(1, int(n**0.5) + 1))
         assert {2 * len(h) <= PRODUCT_LIMIT for h in cases} == {True, False}
         for h in cases:
-            band = periodogram_band(x, h)
+            band = periodogram_band(x[None], h)[0]
             assert_allclose(band, centred[np.asarray(h) - 1], rtol=0,
                             atol=1e-13 * centred.max(), err_msg=f"n={n} h={h}")
             assert_allclose(band, direct_periodogram(x - x.mean())[np.asarray(h) - 1],
                             rtol=1e-10, atol=1e-20)
     with pytest.raises(ValueError):
-        periodogram_band(np.ones(16), [16])
+        periodogram_band(np.ones((1, 16)), [16])
     with pytest.raises(ValueError):
-        periodogram_band(np.ones(16), [0, 1])
+        periodogram_band(np.ones((1, 16)), [0, 1])
 
 
 def test_periodogram_parseval():
@@ -291,7 +291,7 @@ def test_unit_weights_recover_plain_lag_sum():
     n = 48
     x = random_binary(rng, n)
     acv = sample_acv(x, n - 1)
-    got = lag_weighted_spectrum(acv, np.ones(n), n)
+    got = _on_grid(_lag_half(acv.values, n), n)
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
     lags = np.arange(1, n)
     ref = np.array([
@@ -349,20 +349,20 @@ def test_smoothed_matches_brute_force_cosine_sum():
                 tol = 1e-13 * np.abs(f.ordinates).max()
                 for g in (1, 5, n // 2, n - 1):
                     paths.add(g * m <= PRODUCT_LIMIT * n)
-                    assert_allclose(lag_window_band(x, spec, g), f.ordinates[:g], rtol=0,
+                    assert_allclose(lag_window_band(x[None], spec, g)[0], f.ordinates[:g], rtol=0,
                                     atol=tol, err_msg=f"n={n} {kind} m={m} g={g}")
                 # the drop from frequency 0, at single indices and at a run of
                 # them that spans more than one block of the table
                 for j in ([1], [2], [n // 2 - 1], np.arange(1, n)):
-                    origin, gaps = lag_window_gaps(x, spec, j)
-                    assert_allclose(origin, f.zero_frequency_ordinate(), rtol=0, atol=tol)
-                    assert_allclose(origin - gaps, f.ordinates[np.asarray(j) - 1], rtol=0,
+                    origin, gaps = lag_window_gaps(x[None], spec, j)
+                    assert_allclose(origin[0], f.zero_frequency_ordinate(), rtol=0, atol=tol)
+                    assert_allclose(origin[0] - gaps[0], f.ordinates[np.asarray(j) - 1], rtol=0,
                                     atol=tol, err_msg=f"n={n} {kind} m={m} j={j}")
     assert paths == {True, False}
     with pytest.raises(ValueError):
-        lag_window_band(np.ones(16), LagWindowSpec("parzen", 16), 4)
+        lag_window_band(np.ones((1, 16)), LagWindowSpec("parzen", 16), 4)
     with pytest.raises(ValueError):
-        lag_window_band(np.ones(16), LagWindowSpec("parzen", 4), 16)
+        lag_window_band(np.ones((1, 16)), LagWindowSpec("parzen", 4), 16)
 
 
 def test_tables_above_the_limit_are_not_cached():
@@ -377,19 +377,19 @@ def test_tables_above_the_limit_are_not_cached():
     h = [1, 2]  # a (4, n) table
     assert TABLE_LIMIT < 2 * len(h) * n <= PRODUCT_LIMIT * n
     centred = periodogram(x, centered=True).ordinates
-    assert_allclose(periodogram_band(x, h), centred[np.asarray(h) - 1], rtol=0,
+    assert_allclose(periodogram_band(x[None], h)[0], centred[np.asarray(h) - 1], rtol=0,
                     atol=1e-13 * centred.max())
     spec, g = LagWindowSpec("parzen", 1000), 200
     assert TABLE_LIMIT < g * spec.m <= PRODUCT_LIMIT * n
     f = smoothed_periodogram(x, spec)
-    assert_allclose(lag_window_band(x, spec, g), f.ordinates[:g], rtol=0,
+    assert_allclose(lag_window_band(x[None], spec, g)[0], f.ordinates[:g], rtol=0,
                     atol=1e-13 * np.abs(f.ordinates).max())
     n = TABLE_LIMIT + 1000
     x = random_binary(rng, n)
     spec = LagWindowSpec("parzen", TABLE_LIMIT + 1)  # one row of the gap table
     f = smoothed_periodogram(x, spec)
-    origin, gaps = lag_window_gaps(x, spec, [1, 2, 3])
-    assert_allclose(origin - gaps, f.ordinates[:3], rtol=0,
+    origin, gaps = lag_window_gaps(x[None], spec, [1, 2, 3])
+    assert_allclose(origin[0] - gaps[0], f.ordinates[:3], rtol=0,
                     atol=1e-13 * np.abs(f.ordinates).max())
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
