@@ -24,11 +24,19 @@ def _canonical(part) -> str:
     return str(part)
 
 
+def _digest_key(text: str) -> int:
+    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
+
+
 def derive_seed(*parts) -> int:
     """Map a tuple of labels to a 64-bit stream key."""
-    text = "|".join(_canonical(p) for p in parts)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    return _digest_key("|".join(_canonical(p) for p in parts))
+
+
+def derive_seeds(*parts, count: int) -> list[int]:
+    """``[derive_seed(*parts, r) for r in range(count)]``, with the shared text built once."""
+    prefix = "".join(_canonical(p) + "|" for p in parts)
+    return [_digest_key(f"{prefix}{r}") for r in range(count)]
 
 
 def _key(seed) -> int:
@@ -42,20 +50,23 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed)))
 
 
-def stream_uniforms(seeds, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of each seed's stream, as a (len(seeds), count) array.
+def stream_uniforms(seeds, count: int, start: int = 0) -> np.ndarray:
+    """Uniforms ``start .. start + count - 1`` of each seed's stream, as a (len(seeds), count) array.
 
-    Row r equals ``make_rng(seeds[r]).random(count)``.  One Philox per call
-    is re-keyed through its state (counter 0, key ``[seed, 0]``, empty
-    buffer), which skips the SeedSequence a new generator builds and never
-    uses.  The generator is local to the call, so threads never share one.
+    Row r equals ``make_rng(seeds[r]).random(start + count)[start:]``.  One
+    Philox per call is re-keyed through its state (key ``[seed, 0]``, the
+    counter at the four-draw block holding draw ``start``, empty buffer),
+    which skips the SeedSequence a new generator builds and never uses.
+    The generator is local to the call, so threads never share one.
     """
-    out = np.empty((len(seeds), count))
+    skip = start % 4
+    out = np.empty((len(seeds), skip + count))
     bit_generator = np.random.Philox(key=0)
     generator = np.random.Generator(bit_generator)
     state = bit_generator.state
+    state["state"]["counter"][0] = start // 4
     for seed, row in zip(seeds, out):
         state["state"]["key"][0] = _key(seed)
         bit_generator.state = state
         generator.random(out=row)
-    return out
+    return out[:, skip:]

@@ -42,6 +42,8 @@ _STEP_BUFFER = 256
 
 _LBP_TABLE_CELLS = 100_000
 _ZIPF_TABLE_SIZE = 100_000
+# The chain's first prefix of draws, in expected jumps to length n.
+_CHAIN_PREFIX = 1.25
 # Uniform draws per chunk of chain rows: the L2-sized bound of
 # ``estimators.CHUNK_VALUES``.
 _CHAIN_CHUNK_DRAWS = 1 << 15
@@ -199,25 +201,27 @@ def mp_branch_point(s: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _iterate_map(step_batch, x0: np.ndarray, n: int, burn_in: int,
+def _iterate_map(step, x0: np.ndarray, n: int, burn_in: int,
                  observable: ObservableSpec) -> np.ndarray:
     """Drive a vector of states, recording indicator output after burn-in.
 
-    State t + 1 of each row is ``step_batch`` of state t, and only the
-    start point depends on the row, so a row's series is a bit-identical
-    function of its start point and the parameters, whatever the batch
-    width.  The orbit is stepped into a time-major buffer of
-    ``_STEP_BUFFER`` steps and the observable runs once per buffer.
+    ``step(x, out)`` writes the successors of the states x into ``out``,
+    a row of the time-major orbit buffer of ``_STEP_BUFFER`` steps; the
+    observable runs once per buffer.  State t + 1 of a row depends on its
+    state t alone, so a row's series is a bit-identical function of its
+    start point and the parameters, whatever the batch width.
 
     ``StallWarning`` fires once per call when any row repeats one state
     for ``STALL_LIMIT`` consecutive steps.  The step is deterministic, so
-    a row with ``step(x) == x`` stays frozen: its first repeat decides
-    whether the run is long enough for the frozen tail to reach the limit.
+    a row whose successor written by ``step(x, out)`` equals x stays
+    frozen: its first repeat decides whether the run is long enough for
+    the frozen tail to reach the limit.
     """
     reps = x0.size
     out = np.empty((reps, n))
     total = burn_in + n
     buf = np.empty((_STEP_BUFFER + 1, reps))
+    states = list(buf)
     buf[0] = x0
     first_unrecorded = burn_in
     # the last step at which a first repeat still leaves STALL_LIMIT steps
@@ -226,7 +230,7 @@ def _iterate_map(step_batch, x0: np.ndarray, n: int, burn_in: int,
         # buf[0] is state t; the buffer holds states t .. t + k
         k = min(_STEP_BUFFER, total - 1 - t)
         for i in range(k):
-            buf[i + 1] = step_batch(buf[i])
+            step(states[i], states[i + 1])
         if t < last_stall_start:
             frozen = buf[k] == buf[k - 1]
             if frozen.any():
@@ -263,11 +267,10 @@ def simulate_mp_batch(s: float, n: int, seeds, burn_in: int = 10_000,
     x0 = stream_uniforms(seeds, 1)[:, 0]
     e = 1.0 + s
 
-    def step(x):
-        y = x**e
+    def step(x, y):
+        np.power(x, e, out=y)
         y += x
         y -= y > 1.0  # the wrap, as y - 1.0 or y - 0.0
-        return y
 
     return _iterate_map(step, x0, n, burn_in, observable)
 
@@ -292,20 +295,17 @@ def simulate_mp(s: float, n: int, seed: int, burn_in: int = 10_000,
 
 @lru_cache(maxsize=32)
 def _lbp_tables(gamma: float):
-    """Descending cell boundaries c[0..K] with c[j] = 1 - S_j / zeta(gamma).
+    """Descending cell boundaries c[0..K] with c[j] = 1 - S_j / zeta(gamma), and zeta(gamma).
 
     Cell k is (c[k+1], c[k]]; its length is (k+1)**-gamma / zeta(gamma).
-    States below c[K] are handled analytically.  The ascending copy feeds
-    searchsorted in the hot simulation loop.
+    States below c[K] are handled analytically.
     """
     z = zeta_value(gamma)
     bounds = 1.0 - partial_sums(gamma, _LBP_TABLE_CELLS) / z
     bounds[0] = 1.0
     np.maximum(bounds, 0.0, out=bounds)
-    ascending = np.ascontiguousarray(bounds[::-1])
     bounds.setflags(write=False)
-    ascending.setflags(write=False)
-    return bounds, ascending, z
+    return bounds, z
 
 
 def lbp_cell_bounds(gamma: float, k: int) -> tuple[float, float]:
@@ -313,7 +313,7 @@ def lbp_cell_bounds(gamma: float, k: int) -> tuple[float, float]:
     _require_gamma(gamma)
     if k < 0:
         raise ValueError(f"cell index must be >= 0, got {k}")
-    bounds, _, z = _lbp_tables(gamma)
+    bounds, z = _lbp_tables(gamma)
     right = bounds[k] if k < bounds.size else tail_sum(gamma, k) / z
     left = bounds[k + 1] if k + 1 < bounds.size else tail_sum(gamma, k + 1) / z
     return float(left), float(right)
@@ -321,28 +321,28 @@ def lbp_cell_bounds(gamma: float, k: int) -> tuple[float, float]:
 
 @lru_cache(maxsize=32)
 def _lbp_branch_table(gamma: float):
-    """The affine branches of the map, indexed by search position in ``edges``.
+    """The affine branches of the map, indexed by search position in ``lefts[1:]``.
 
-    ``edges`` is the ascending boundary table without its final 1, so
-    position i in 1..K-1 is cell K - i with right endpoint ``right[i]``,
-    slope ``slope[i]`` and left endpoint ``edges[i - 1]``.  Position K is
-    cell 0, carried onto (0, 1) as ``0 + zeta(gamma) * (x - c[1])``.
+    ``lefts`` is 0.0 and then the ascending boundary table without its
+    final 1, so position i in 1..K-1 is cell K - i with left endpoint
+    ``lefts[i]``, right endpoint ``right[i]`` and slope ``slope[i]``;
+    ``lefts`` and ``right`` are views of one array.  Position K is cell 0,
+    carried onto (0, 1) as ``0 + zeta(gamma) * (x - c[1])``.
     """
-    _, ascending, z = _lbp_tables(gamma)
-    right = ascending.copy()
-    right[-1] = 0.0
+    bounds, z = _lbp_tables(gamma)
+    ends = np.concatenate(([0.0], bounds[:0:-1], [0.0]))
     k = np.arange(_LBP_TABLE_CELLS, 0, -1)
     slope = np.append(((k + 1.0) / k) ** gamma, z)
-    right.setflags(write=False)
+    ends.setflags(write=False)
     slope.setflags(write=False)
-    return ascending[:-1], right, slope
+    return ends[:-1], ends[1:], slope
 
 
 def _lbp_deep_step(gamma: float, x: float) -> float:
     """The map at x == 0 or in a cell k >= K below the table."""
     if x == 0.0:
         return 0.0
-    z = _lbp_tables(gamma)[2]
+    z = _lbp_tables(gamma)[1]
     # the k with tail(k+1) < x * z <= tail(k)
     k = _invert_tail(lambda j: tail_sum(gamma, j + 1), np.nextafter(x * z, 0.0),
                      _LBP_TABLE_CELLS)
@@ -352,16 +352,23 @@ def _lbp_deep_step(gamma: float, x: float) -> float:
 
 
 def _lbp_stepper(gamma: float):
-    """The map as a function of a state array, from the cached branch table."""
-    edges, right, slope = _lbp_branch_table(gamma)
+    """The map as a step ``(x, out)`` of a state array, from the cached branch table."""
+    lefts, right, slope = _lbp_branch_table(gamma)
+    edges = lefts[1:]
 
-    def step(x):
-        i = np.searchsorted(edges, x, side="left")
-        y = right[i] + slope[i] * (x - edges[i - 1])
+    def step(x, y):
+        # methods and "clip" (i is in range) skip the wrappers and the
+        # buffered out of "raise", which cost more than 20-50 rows of work
+        i = edges.searchsorted(x, side="left")
+        # right[i] + slope[i] * (x - lefts[i]), one gather per table
+        lefts.take(i, out=y, mode="clip")
+        np.subtract(x, y, out=y)
+        y *= slope.take(i)
+        y += right.take(i)
         # position 0 is x == 0 or a cell below the table
-        for r in np.flatnonzero(i == 0):
-            y[r] = _lbp_deep_step(gamma, float(x[r]))
-        return y
+        if np.count_nonzero(i) < i.size:
+            for r in np.flatnonzero(i == 0):
+                y[r] = _lbp_deep_step(gamma, float(x[r]))
 
     return step
 
@@ -376,7 +383,9 @@ def lbp_step(gamma: float, x: float) -> float:
     """
     _require_gamma(gamma)
     _require_unit(x)
-    return float(_lbp_stepper(gamma)(np.array([x]))[0])
+    y = np.empty(1)
+    _lbp_stepper(gamma)(np.array([x]), y)
+    return float(y[0])
 
 
 def simulate_lbp_batch(gamma: float, n: int, seeds, burn_in: int = 10_000,
@@ -480,7 +489,7 @@ def binary_from_states(states) -> np.ndarray:
     return (z != 0).astype(np.float64)
 
 
-def _chain_zeros(gamma: float, n: int, u: np.ndarray) -> np.ndarray:
+def _chain_zeros(gamma: float, n: int, u: np.ndarray, last=None) -> np.ndarray:
     """Zero positions cumsum([first, m_1, m_2, ...]) of each row of draws u.
 
     ``u[:, 0]`` picks the stationary start, ``u[:, i]`` the step m_i, one
@@ -488,23 +497,26 @@ def _chain_zeros(gamma: float, n: int, u: np.ndarray) -> np.ndarray:
     inverted analytically, so neither heavy tail is truncated.  The start
     and the steps are clipped at n, which moves no position below n, keeps
     them in int64 (near gamma = 2 a stationary state can exceed 2**63) and
-    stops the inversion before its tail sums overflow.
+    stops the inversion before its tail sums overflow.  Given ``last``
+    zero positions, every draw is a step and the positions go on from them.
     """
-    stationary_cdf, _ = _stationary_cdf(gamma)
     jump_cdf, guide, z = _jump_cdf(gamma)
-    steps = np.empty(u.shape, dtype=np.int64)
-    steps[:, 0] = np.searchsorted(stationary_cdf, u[:, 0], side="left")
-    # searchsorted(jump_cdf, u) through the guide; u * M is exact, M = 2**12
-    steps[:, 1:] = guide[(u[:, 1:] * _GUIDE_BUCKETS).astype(np.intp)]
+    # each draw as a step, searchsorted(jump_cdf, u) by the guide; u * M is exact, M = 2**12
+    steps = guide[(u * _GUIDE_BUCKETS).astype(np.intp)].astype(np.int64, copy=False)
     undecided = steps < 0
     steps[undecided] = np.searchsorted(jump_cdf, u[undecided], side="left")
-    steps[:, 1:] += 1
-    for r in np.flatnonzero(steps[:, 0] >= _ZIPF_TABLE_SIZE):
-        steps[r, 0] = _invert_tail(lambda j: _stationary_tail_mass(gamma, j),
-                                   1.0 - u[r, 0], _ZIPF_TABLE_SIZE, n)
-    for r, i in zip(*np.nonzero(steps[:, 1:] > _ZIPF_TABLE_SIZE)):
-        steps[r, i + 1] = _invert_tail(lambda k: tail_sum(gamma, k),
-                                       (1.0 - u[r, i + 1]) * z, _ZIPF_TABLE_SIZE, n)
+    steps += 1
+    if steps.max() > _ZIPF_TABLE_SIZE:  # rare, and the max costs less than the search
+        for r, i in zip(*np.nonzero(steps > _ZIPF_TABLE_SIZE)):
+            steps[r, i] = _invert_tail(lambda k: tail_sum(gamma, k),
+                                       (1.0 - u[r, i]) * z, _ZIPF_TABLE_SIZE, n)
+    if last is None:
+        steps[:, 0] = np.searchsorted(_stationary_cdf(gamma)[0], u[:, 0], side="left")
+        for r in np.flatnonzero(steps[:, 0] >= _ZIPF_TABLE_SIZE):
+            steps[r, 0] = _invert_tail(lambda j: _stationary_tail_mass(gamma, j),
+                                       1.0 - u[r, 0], _ZIPF_TABLE_SIZE, n)
+    else:
+        steps[:, 0] += last
     return np.cumsum(steps, axis=1, out=steps)
 
 
@@ -514,30 +526,33 @@ def simulate_markov_batch(gamma: float, n: int, seeds) -> np.ndarray:
     Row r is bit-identical to ``simulate_markov(gamma, n, seeds[r])``.  A
     row's stream is one forward sequence of uniforms, the first for the
     start state and one per jump, so its zeros do not depend on how the
-    draws are chunked.  Every row draws a prefix of about 1.25 times the
-    expected number of jumps; a row whose prefix ends before n - 1 is
-    drawn again with twice the count.  Rows run in chunks of at most
-    ``_CHAIN_CHUNK_DRAWS`` draws.
+    draws are chunked.  Every row draws a prefix of ``_CHAIN_PREFIX``
+    times the expected number of jumps; a row whose zeros end before
+    n - 1 goes on with the next draws of its stream, as many as it has
+    drawn so far, from its last zero, so no uniform is drawn twice.  Rows
+    run in chunks of at most ``_CHAIN_CHUNK_DRAWS`` draws.
     """
     _require_gamma(gamma)
     if n < 1:
         raise ValueError(f"series length must be >= 1, got {n}")
     out = np.ones((len(seeds), n))
     mean_cycle = zeta_value(gamma - 1.0) / zeta_value(gamma)
-    count = 1 + max(64, int(1.25 * (n - 1) / mean_cycle) + 8)
-    rows = np.arange(len(seeds))
+    count = 1 + max(64, int(_CHAIN_PREFIX * (n - 1) / mean_cycle) + 8)
+    rows, start, last = np.arange(len(seeds)), 0, None
     while rows.size:
         short = []
         per_chunk = max(1, _CHAIN_CHUNK_DRAWS // count)
         for lo in range(0, rows.size, per_chunk):
             chunk = rows[lo:lo + per_chunk]
-            zeros = _chain_zeros(gamma, n, stream_uniforms([seeds[r] for r in chunk], count))
-            # a short row's positions so far are a prefix of its redraw's
+            u = stream_uniforms([seeds[r] for r in chunk], count, start)
+            zeros = _chain_zeros(gamma, n, u, None if last is None else last[lo:lo + per_chunk])
             flat = zeros + (chunk * n)[:, None]
             out.reshape(-1)[flat[zeros < n]] = 0.0
-            short.append(chunk[zeros[:, -1] < n - 1])
-        rows = np.concatenate(short)
-        count *= 2
+            going_on = zeros[:, -1] < n - 1
+            short.append((chunk[going_on], zeros[going_on, -1]))
+        rows, last = map(np.concatenate, zip(*short))
+        start += count
+        count = start
     return out
 
 

@@ -428,7 +428,7 @@ def _wmp_inversion(levels: np.ndarray, values: np.ndarray, method: str) -> Batch
     xs = xs - xs.sum() / xs.size
     logs, floored = _safe_log(values, LADDER_FLOOR)
     sxx = float(xs @ xs)
-    sxy = logs @ xs
+    sxy = (logs[:, None, :] @ xs)[:, 0]  # one product per row, as in ``_fit_rows``
     denom = 2.0 * (sxx - sxy)
     d = sxy / sxx
     invalid = denom <= 0.0

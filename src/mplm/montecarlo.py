@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._seeds import derive_seed
+from ._seeds import derive_seeds
 from .dynamics import (
     ObservableSpec,
     equivalent_gamma,
@@ -99,10 +99,10 @@ class McSummary:
     failed: bool
 
 
-def replication_seed(base_seed: int, model: str, s: float, n: int,
-                     method: str, rep: int) -> int:
-    """Stream key for one replication; distinct tuples never share a stream."""
-    return derive_seed(base_seed, model, float(s), int(n), method, int(rep))
+def replication_seeds(base_seed: int, model: str, s: float, n: int,
+                      method: str, count: int) -> list[int]:
+    """Stream keys of replications 0 .. count - 1; distinct tuples never share a stream."""
+    return derive_seeds(base_seed, model, float(s), int(n), method, count=count)
 
 
 def mse_value(mean: float, sd: float, true_s: float) -> float:
@@ -132,8 +132,7 @@ def _simulate_cell(spec: ExperimentSpec, s: float, n: int, seeds) -> np.ndarray:
 
 
 def _run_cell(spec: ExperimentSpec, s: float, n: int, method: str) -> McSummary:
-    seeds = [replication_seed(spec.base_seed, spec.model, s, n, method, r)
-             for r in range(spec.replications)]
+    seeds = replication_seeds(spec.base_seed, spec.model, s, n, method, spec.replications)
     batch = estimate_batch(_simulate_cell(spec, s, n, seeds), method)
     usable = batch.valid & np.isfinite(batch.s_hat)
     invalid = int(np.count_nonzero(~usable))

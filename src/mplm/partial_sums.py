@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import derive_seed, stream_uniforms
+from ._seeds import derive_seeds, stream_uniforms
 from .dynamics import ObservableSpec, simulate_lbp_batch, simulate_mp_batch
 from .estimators import ols_slope
 from .spectral import AcvEstimate
@@ -84,7 +84,7 @@ def scaling_exponent(generator, s: float, grid, reps: int, seed: int) -> Scaling
         raise ValueError(f"need at least 50 replications, got {reps}")
     variances = np.empty(sizes.size)
     for i, n in enumerate(sizes):
-        seeds = [derive_seed(seed, "scaling", s, int(n), r) for r in range(reps)]
+        seeds = derive_seeds(seed, "scaling", s, int(n), count=reps)
         rows = generator(s, int(n), seeds)
         sums = rows.sum(axis=1)
         variances[i] = sums.var(ddof=1)

@@ -147,9 +147,9 @@ def test_frozen_orbit_raises_stall_diagnostic():
     # the iterator flags it after the stall limit instead of erroring
     from mplm.dynamics import _iterate_map, StallWarning
 
-    def step(x):
+    def step(x, out):
         y = x + x**2.0
-        return np.where(y > 1.0, y - 1.0, y)
+        out[...] = np.where(y > 1.0, y - 1.0, y)
 
     with pytest.warns(StallWarning):
         _iterate_map(step, np.array([1e-300]), 0, 10_002, ObservableSpec())
@@ -162,9 +162,9 @@ def _stall_warnings(step, x0, n, burn_in):
     return sum(issubclass(w.category, StallWarning) for w in caught)
 
 
-def _underflowing_step(x):
+def _underflowing_step(x, out):
     y = x + x**2.0
-    return np.where(y > 1.0, y - 1.0, y)
+    out[...] = np.where(y > 1.0, y - 1.0, y)
 
 
 @pytest.mark.parametrize("x0", [1e-300, 0.0])
@@ -185,8 +185,8 @@ def test_stall_warning_once_per_call_for_many_frozen_rows():
 
 
 def test_stall_warning_counts_a_frozen_tail_from_its_first_repeat():
-    def creep(x):
-        return np.where(x < 0.5, x + 0.01, x)
+    def creep(x, out):
+        out[...] = np.where(x < 0.5, x + 0.01, x)
 
     def moving_steps(x):
         steps = 0
@@ -257,7 +257,7 @@ def test_lbp_cell_zero_bounds_gamma_three():
 
 def test_lbp_cell_lengths_sum_to_one():
     for gamma in (2.25, 3.0):
-        bounds, _, z = _lbp_tables(gamma)
+        bounds, z = _lbp_tables(gamma)
         covered = -np.diff(bounds)
         total = covered.sum() + tail_sum(gamma, _LBP_TABLE_CELLS) / z
         assert abs(total - 1.0) < 1e-12
@@ -276,7 +276,7 @@ def test_lbp_cell_maps_onto_previous_cell():
 def test_lbp_deep_cell_consistent_with_table():
     # below the table the analytic branch must continue the same map
     gamma = 2.25
-    bounds, _, z = _lbp_tables(gamma)
+    bounds, z = _lbp_tables(gamma)
     x = bounds[_LBP_TABLE_CELLS] * 0.9  # strictly below the tabulated range
     y = lbp_step(gamma, x)
     assert 0.0 < y < 1.0
@@ -289,7 +289,7 @@ def test_lbp_deep_cells_satisfy_cell_bounds():
     # from the asymptotic tail (k + 1/2)**(1 - gamma) / (gamma - 1)
     rng = np.random.default_rng(31)
     for gamma in (2.05, 2.25, 2.538, 3.0):
-        bounds, _, z = _lbp_tables(gamma)
+        bounds, z = _lbp_tables(gamma)
         for x in bounds[_LBP_TABLE_CELLS] * np.exp(rng.uniform(np.log(1e-12), 0.0, 300)):
             target = x * z
             k = int((target * (gamma - 1.0)) ** (-1.0 / (gamma - 1.0)) - 0.5)
@@ -528,19 +528,25 @@ def test_markov_run_length_distribution():
 
 def test_simulate_markov_batch_rows_match_single_runs(monkeypatch):
     # at gamma 2.05 the jump sum is heavy-tailed, and some rows' first
-    # prefix of draws ends before n: those rows are drawn again, longer
+    # prefix of draws ends before n: those rows, and only those, go on
+    # with the draws of their streams past the prefix
     draws = dynamics.stream_uniforms
     calls = []
 
-    def spy(seeds, count):
-        calls.append((len(seeds), count))
-        return draws(seeds, count)
+    def spy(seeds, count, start=0):
+        calls.append((list(seeds), count, start))
+        return draws(seeds, count, start)
 
     monkeypatch.setattr(dynamics, "stream_uniforms", spy)
     seeds = list(range(40, 100))
     rows = simulate_markov_batch(2.05, 2000, seeds)
     assert len(calls) >= 2
-    assert calls[1][0] < len(seeds) and calls[1][1] == 2 * calls[0][1]
+    (first, count, start), (second, more, further) = calls[:2]
+    assert first == seeds and start == 0
+    short = [sd for sd in seeds
+             if dynamics._chain_zeros(2.05, 2000, make_rng(sd).random(count)[None])[0, -1] < 1999]
+    assert 0 < len(short) < len(seeds)
+    assert second == short and further == count and more == count
     monkeypatch.undo()
     for seed, row in zip(seeds, rows):
         assert np.array_equal(row, simulate_markov(2.05, 2000, seed).values)

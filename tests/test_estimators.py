@@ -649,9 +649,11 @@ SHORTEST = {method: _shortest_length(method) for method in METHOD_NAMES}
        rows=st.integers(1, 4), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 # rows with one or two zeros: a lone spike's flat periodogram has no spread
 # but rounding, and cos2's near-zero slope carries any change in summation
-# order into its r_squared
+# order into its r_squared; a Haar ladder of exactly [32, 8] has d = 1 up
+# to rounding, and its wavelet estimate divides by that rounding
 @example(method="perio", extra=3, rows=2, density=0.921875, seed=0)
 @example(method="cos2", extra=2500, rows=2, density=0.9995, seed=0)
+@example(method="wmp-haar", extra=2, rows=2, density=0.4453125, seed=2)
 def test_property_batch_equals_single_on_random_binary_rows(method, extra, rows, density, seed):
     # random 0/1 rows (constant ones included, at density 0 or 1) at any
     # length the method takes: each batch row is the single-row estimate

@@ -11,7 +11,7 @@ from mplm.montecarlo import (
     PRESETS,
     mse_value,
     preset_experiment,
-    replication_seed,
+    replication_seeds,
     run_experiment,
     summarize,
     write_summaries_csv,
@@ -54,9 +54,8 @@ def test_replication_seeds_unique_across_grid():
     count = 0
     for name, spec in PRESETS.items():
         for s, n, method in spec.cells():
-            for r in range(3):
-                seeds.add(replication_seed(spec.base_seed, spec.model, s, n, method, r))
-                count += 1
+            seeds.update(replication_seeds(spec.base_seed, spec.model, s, n, method, 3))
+            count += 3
     assert len(seeds) == count
 
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.special as sps
 from numpy.testing import assert_allclose
 
-from mplm._seeds import derive_seed, make_rng, stream_uniforms
+from mplm._seeds import derive_seed, derive_seeds, make_rng, stream_uniforms
 from mplm._zeta import partial_sums, tail_sum, zeta_value
 
 APERY = 1.2020569031595943  # sum of n**-3
@@ -58,6 +58,13 @@ def test_derive_seed_stable_and_distinct():
     assert 0 <= a < 2**64
 
 
+@pytest.mark.parametrize("parts", [(), (12345, "mp", 0.6, 10_000, "perio"), (-7, -0.25, "scaling", 3),
+                                   (2**64 - 1, 1e-300, "x|y", -3)])
+def test_derive_seeds_equal_derive_seed_per_replication(parts):
+    assert derive_seeds(*parts, count=5) == [derive_seed(*parts, r) for r in range(5)]
+    assert derive_seeds(*parts, count=0) == []
+
+
 def test_make_rng_reproducible():
     x = make_rng(991).random(8)
     y = make_rng(991).random(8)
@@ -84,3 +91,14 @@ def test_stream_uniforms_rows_equal_make_rng(count):
 def test_stream_uniforms_rejects_non_integer():
     with pytest.raises(TypeError):
         stream_uniforms([3, 1.5], 4)
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 6, 7, 1001])
+@pytest.mark.parametrize("count", [1, 6])
+def test_stream_uniforms_continue_each_stream(start, count):
+    # a Philox block holds four draws: every start % 4 is covered
+    seeds = [0, 2**63, 2**64 - 1]
+    rows = stream_uniforms(seeds, count, start)
+    assert rows.shape == (len(seeds), count)
+    for seed, row in zip(seeds, rows):
+        assert np.array_equal(row, make_rng(seed).random(start + count)[start:])
