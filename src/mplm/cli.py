@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -298,7 +299,13 @@ def _cmd_appendixb(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+@functools.lru_cache(maxsize=1)
+def _build_parser(env: tuple) -> _Parser:
+    """The parser for ``env``, the sorted ``MPLM_*`` variables its defaults come from.
+
+    ``_flag`` reads them from ``os.environ``, which ``main`` keys the cache
+    by, so a process builds one parser until a variable changes.
+    """
     parser = _Parser(prog="mplm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mplm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -341,7 +348,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("appendixb", help="partial-sum variance scaling fit")
     _flag(p, "--s", type=float, required=True)
-    _flag(p, "--grid", [1024, 2048, 4096, 8192, 16384], type=_parse_grid)
+    _flag(p, "--grid", (1024, 2048, 4096, 8192, 16384), type=_parse_grid)
     _flag(p, "--reps", 200, type=int)
     _flag(p, "--seed", 0, type=int)
     _flag(p, "--burn-in", 10_000, type=int)
@@ -352,7 +359,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(tuple(sorted(
+        item for item in os.environ.items() if item[0].startswith(ENV_PREFIX))))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -10,7 +10,10 @@ Three generators are provided:
   lengths have the same tail (``simulate_markov``).
 
 Each has a batch form that returns one (reps, n) row per seed, and the
-single-series function is row 0 of a one-seed batch.
+single-series function is row 0 of a one-seed batch.  The two maps also
+have a partial-sum form (``mp_partial_sums``, ``lbp_partial_sums``) that
+returns the sum of each row over its own length; it runs the same orbit
+loop over rows of every length at once and stores no series.
 
 All three emit 0/1 observations: the maps through the indicator of an
 open subinterval of [0, 1], the chain through ``1 - indicator(state == 0)``.
@@ -201,55 +204,116 @@ def mp_branch_point(s: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _iterate_map(step, x0: np.ndarray, n: int, burn_in: int,
-                 observable: ObservableSpec) -> np.ndarray:
-    """Drive a vector of states, recording indicator output after burn-in.
+def _orbit_blocks(step, x0: np.ndarray, lengths: np.ndarray, burn_in: int):
+    """The one orbit loop: step a vector of states, yielding the recorded ones.
 
-    ``step(x, out)`` writes the successors of the states x into ``out``,
-    a row of the time-major orbit buffer of ``_STEP_BUFFER`` steps; the
-    observable runs once per buffer.  State t + 1 of a row depends on its
-    state t alone, so a row's series is a bit-identical function of its
+    Row r starts at ``x0[r]`` and records states ``burn_in .. burn_in +
+    lengths[r] - 1``; the lengths are non-increasing, so the rows still
+    recording are the first w.  ``step(x, out)`` writes the successors of
+    the states x into ``out``, a row of the time-major orbit buffer.  A
+    buffer holds at most ``_STEP_BUFFER`` steps and ends at every row's last
+    state; it yields ``(first, states)``, a (steps, w) view of its recorded
+    states from state ``burn_in + first`` on, valid until the next yield,
+    and the rows it ends then leave.  State t + 1 of a row depends on its
+    state t alone, so a row's states are a bit-identical function of its
     start point and the parameters, whatever the batch width.
 
-    ``StallWarning`` fires once per call when any row repeats one state
-    for ``STALL_LIMIT`` consecutive steps.  The step is deterministic, so
-    a row whose successor written by ``step(x, out)`` equals x stays
-    frozen: its first repeat decides whether the run is long enough for
-    the frozen tail to reach the limit.
+    ``StallWarning`` fires once per call when a row repeats one state for
+    ``STALL_LIMIT`` consecutive steps within its own ``burn_in +
+    lengths[r]`` states.  The step is deterministic, so a row whose
+    successor equals x stays frozen: its first repeat decides whether its
+    window is long enough for the frozen tail to reach the limit.
     """
-    reps = x0.size
-    out = np.empty((reps, n))
-    total = burn_in + n
-    buf = np.empty((_STEP_BUFFER + 1, reps))
-    states = list(buf)
+    buf = np.empty((_STEP_BUFFER + 1, x0.size))
     buf[0] = x0
-    first_unrecorded = burn_in
-    # the last step at which a first repeat still leaves STALL_LIMIT steps
-    last_stall_start = total - STALL_LIMIT
-    for t in range(0, max(total - 1, 1), _STEP_BUFFER):
+    ends = burn_in + lengths - 1  # each row's last state
+    # per row, the last step at which a first repeat still leaves STALL_LIMIT steps
+    stall_starts = ends + 1 - STALL_LIMIT
+    stall_until = int(stall_starts.max(initial=0))
+    t, w, first_unrecorded = 0, x0.size, burn_in
+    states = list(buf)
+    while w:
+        end = int(ends[w - 1])  # the last state of the shortest recording row
         # buf[0] is state t; the buffer holds states t .. t + k
-        k = min(_STEP_BUFFER, total - 1 - t)
+        k = min(_STEP_BUFFER, end - t)
         for i in range(k):
             step(states[i], states[i + 1])
-        if t < last_stall_start:
-            frozen = buf[k] == buf[k - 1]
+        if k > 0 and t < stall_until:
+            frozen = buf[k, :w] == buf[k - 1, :w]
+            frozen &= t < stall_starts[:w]
             if frozen.any():
-                repeats = buf[1:k + 1, frozen] == buf[:k, frozen]
-                if t + 1 + repeats.argmax(axis=0).min() <= last_stall_start:
+                rows = np.flatnonzero(frozen)
+                first = t + 1 + (buf[1:k + 1, rows] == buf[:k, rows]).argmax(axis=0)
+                if np.any(first <= stall_starts[rows]):
                     warnings.warn(
                         f"orbit numerically frozen: {STALL_LIMIT} consecutive identical "
                         "iterates (laminar excursion below 64-bit resolution)",
                         StallWarning,
-                        stacklevel=3,
+                        stacklevel=4,
                     )
-                # a later first repeat leaves fewer steps: stop checking
-                last_stall_start = t
+                    stall_starts[:] = t  # once per call
+                else:
+                    # a later first repeat leaves fewer steps: stop checking these rows
+                    stall_starts[rows] = t
+                stall_until = int(stall_starts.max())
         if first_unrecorded <= t + k:
-            out[:, first_unrecorded - burn_in:t + k + 1 - burn_in] = \
-                observable.indicate(buf[first_unrecorded - t:k + 1]).T
+            yield first_unrecorded - burn_in, buf[first_unrecorded - t:k + 1, :w]
             first_unrecorded = t + k + 1
-        buf[0] = buf[k]
+        if end <= t + k:  # the rows whose last state this is leave
+            w = int(np.count_nonzero(ends > end))
+            if not w:
+                return
+            states = list(buf[:, :w])
+        buf[0, :w] = buf[k, :w]
+        t += k
+
+
+def _iterate_map(step, x0: np.ndarray, n: int, burn_in: int,
+                 observable: ObservableSpec) -> np.ndarray:
+    """The observable of each row's states ``burn_in .. burn_in + n - 1``, a (reps, n) array."""
+    out = np.empty((x0.size, n))
+    for first, states in _orbit_blocks(step, x0, np.full(x0.size, n), burn_in):
+        out[:, first:first + len(states)] = observable.indicate(states).T
     return out
+
+
+def _orbit_sums(step, lengths, seeds, burn_in: int, observable: ObservableSpec) -> np.ndarray:
+    """Per seed, the observable summed over its states ``burn_in .. burn_in + lengths[r] - 1``.
+
+    The rows step longest first in one loop; no series is stored.
+    """
+    lengths = np.array(lengths, dtype=np.int64, ndmin=1)
+    order = np.argsort(-lengths, kind="stable")
+    x0 = _start_points(seeds, lengths, burn_in)[order]
+    sums = np.zeros(lengths.size)
+    for _, states in _orbit_blocks(step, x0, lengths[order], burn_in):
+        sums[:states.shape[1]] += observable.indicate(states).sum(axis=0)
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
+
+
+def _start_points(seeds, lengths, burn_in: int) -> np.ndarray:
+    """Each seed's uniform start point, once the run (one length, or one per seed) is checked."""
+    if np.ndim(lengths) and len(lengths) != len(seeds):
+        raise ValueError(f"need one length per seed, got {len(lengths)} for {len(seeds)} seeds")
+    if np.min(lengths) < 1:
+        raise ValueError(f"series length must be >= 1, got {np.min(lengths)}")
+    if burn_in < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
+    return stream_uniforms(seeds, 1)[:, 0]
+
+
+def _mp_stepper(s: float):
+    """The smooth map as a step ``(x, out)`` of a state array."""
+    e = 1.0 + s
+
+    def step(x, y):
+        np.power(x, e, out=y)
+        y += x
+        y -= y > 1.0  # the wrap, as y - 1.0 or y - 0.0
+
+    return step
 
 
 def simulate_mp_batch(s: float, n: int, seeds, burn_in: int = 10_000,
@@ -260,19 +324,18 @@ def simulate_mp_batch(s: float, n: int, seeds, burn_in: int = 10_000,
     replication owns its stream and only the start point is random.
     """
     _require_s(s)
-    if n < 1:
-        raise ValueError(f"series length must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    x0 = stream_uniforms(seeds, 1)[:, 0]
-    e = 1.0 + s
+    return _iterate_map(_mp_stepper(s), _start_points(seeds, n, burn_in), n, burn_in, observable)
 
-    def step(x, y):
-        np.power(x, e, out=y)
-        y += x
-        y -= y > 1.0  # the wrap, as y - 1.0 or y - 0.0
 
-    return _iterate_map(step, x0, n, burn_in, observable)
+def mp_partial_sums(s: float, lengths, seeds, burn_in: int = 10_000,
+                    observable: ObservableSpec = ObservableSpec()) -> np.ndarray:
+    """The partial sum S_{lengths[r]} of each seed's smooth-map series; returns a (reps,) array.
+
+    Entry r equals ``simulate_mp_batch(s, lengths[r], [seeds[r]], ...).sum()``,
+    from one orbit loop over all rows that stores no series.
+    """
+    _require_s(s)
+    return _orbit_sums(_mp_stepper(s), lengths, seeds, burn_in, observable)
 
 
 def simulate_mp(s: float, n: int, seed: int, burn_in: int = 10_000,
@@ -392,12 +455,15 @@ def simulate_lbp_batch(gamma: float, n: int, seeds, burn_in: int = 10_000,
                        observable: ObservableSpec = ObservableSpec()) -> np.ndarray:
     """Piecewise-linear analogue of ``simulate_mp_batch``."""
     _require_gamma(gamma)
-    if n < 1:
-        raise ValueError(f"series length must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    x0 = stream_uniforms(seeds, 1)[:, 0]
+    x0 = _start_points(seeds, n, burn_in)
     return _iterate_map(_lbp_stepper(gamma), x0, n, burn_in, observable)
+
+
+def lbp_partial_sums(gamma: float, lengths, seeds, burn_in: int = 10_000,
+                     observable: ObservableSpec = ObservableSpec()) -> np.ndarray:
+    """Piecewise-linear analogue of ``mp_partial_sums``."""
+    _require_gamma(gamma)
+    return _orbit_sums(_lbp_stepper(gamma), lengths, seeds, burn_in, observable)
 
 
 def simulate_lbp(gamma: float, n: int, seed: int, burn_in: int = 10_000,

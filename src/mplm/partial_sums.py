@@ -7,7 +7,9 @@ For a stationary series with autocovariances gamma(j),
 which ``var_partial_sum`` evaluates directly.  When gamma(j) decays like
 j**-u with u in (0, 1) the variance grows like N**(2-u);
 ``scaling_exponent`` measures that growth from simulated replications.
-For the intermittent map this exponent is 3 - 1/s.
+For the intermittent map this exponent is 3 - 1/s.  Its generators return
+the partial sum S_N of each replication, not the series: the map
+generators step every (length, replication) row in one orbit loop.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import derive_seeds, stream_uniforms
-from .dynamics import ObservableSpec, simulate_lbp_batch, simulate_mp_batch
+from .dynamics import ObservableSpec, lbp_partial_sums, mp_partial_sums
 from .estimators import ols_slope
 from .spectral import AcvEstimate
 
@@ -44,28 +46,36 @@ class ScalingFit:
 
 
 def mp_generator(observable: ObservableSpec = ObservableSpec(), burn_in: int = 10_000):
-    """Batch generator for the smooth map, for use with ``scaling_exponent``."""
+    """Partial-sum generator for the smooth map, for use with ``scaling_exponent``."""
 
-    def gen(s, n, seeds):
-        return simulate_mp_batch(s, n, seeds, burn_in, observable)
+    def gen(s, lengths, seeds):
+        return mp_partial_sums(s, lengths, seeds, burn_in, observable)
 
     return gen
 
 
 def lbp_generator(observable: ObservableSpec = ObservableSpec(), burn_in: int = 10_000):
-    """Batch generator for the piecewise-linear map (parameter gamma = 1 + 1/s)."""
+    """Partial-sum generator for the piecewise-linear map (parameter gamma = 1 + 1/s)."""
 
-    def gen(s, n, seeds):
-        return simulate_lbp_batch(1.0 + 1.0 / s, n, seeds, burn_in, observable)
+    def gen(s, lengths, seeds):
+        return lbp_partial_sums(1.0 + 1.0 / s, lengths, seeds, burn_in, observable)
 
     return gen
 
 
 def bernoulli_generator(p: float = 0.5):
-    """Independent 0/1 draws; the s argument is ignored.  Var(S_N) = N p(1-p)."""
+    """Sums of independent 0/1 draws; the s argument is ignored.  Var(S_N) = N p(1-p).
 
-    def gen(s, n, seeds):
-        return (stream_uniforms(seeds, n) < p).astype(np.float64)
+    Each group of equal lengths takes one draw of its streams.
+    """
+
+    def gen(s, lengths, seeds):
+        lengths = np.asarray(lengths)
+        sums = np.empty(lengths.size)
+        for n in np.unique(lengths):
+            rows = np.flatnonzero(lengths == n)
+            sums[rows] = (stream_uniforms([seeds[r] for r in rows], int(n)) < p).sum(axis=1)
+        return sums
 
     return gen
 
@@ -73,21 +83,19 @@ def bernoulli_generator(p: float = 0.5):
 def scaling_exponent(generator, s: float, grid, reps: int, seed: int) -> ScalingFit:
     """Across-replication Var(S_N) over a grid of lengths, fitted in log-log.
 
-    ``generator(s, n, seeds)`` must return a (len(seeds), n) array of
-    observations; each (length, replication) pair gets its own derived
+    ``generator(s, lengths, seeds)`` must return the partial sum
+    S_{lengths[r]} of a series for each ``seeds[r]``; it is called once,
+    for every (length, replication) row.  Each row gets its own derived
     stream, so the fit is reproducible from the base seed.
     """
     sizes = np.asarray(sorted(int(n) for n in grid))
-    if sizes.size < 4 or np.any(np.diff(sizes) <= 0):
-        raise ValueError("grid must contain at least 4 strictly increasing lengths")
+    if sizes.size < 4 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
+        raise ValueError("grid must contain at least 4 strictly increasing lengths >= 1")
     if reps < 50:
         raise ValueError(f"need at least 50 replications, got {reps}")
-    variances = np.empty(sizes.size)
-    for i, n in enumerate(sizes):
-        seeds = derive_seeds(seed, "scaling", s, int(n), count=reps)
-        rows = generator(s, int(n), seeds)
-        sums = rows.sum(axis=1)
-        variances[i] = sums.var(ddof=1)
+    seeds = [key for n in sizes for key in derive_seeds(seed, "scaling", s, int(n), count=reps)]
+    sums = generator(s, np.repeat(sizes, reps), seeds).reshape(sizes.size, reps)
+    variances = sums.var(axis=1, ddof=1)
     if np.any(variances <= 0.0):
         raise ValueError("partial-sum variance vanished on the grid; series degenerate")
     slope, intercept = ols_slope(np.log(sizes), np.log(variances))

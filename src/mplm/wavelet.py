@@ -10,12 +10,13 @@ paths work on every row of a (rows, N) array at once.  The Haar path is a
 block-sum pyramid over the rows; the Mexican hat is evaluated on its
 effective support |u| <= 8 by one matrix product per row and level: each
 level lays its window of one zero-padded copy out in rows of 2**(m-j)
-samples, times the kernel cut into 16 rows of that length, and one strided
-view sums the product's diagonals.  The product keeps the shape of a single
-series on purpose: stacking the rows into one larger product hands it to
-the BLAS threads, and a second thread then spins between calls.  Both paths
-agree with the direct summation of the defining formula, which is kept
-available as a slow oracle.
+samples, times the kernel cut into 17 rows of that length (the last holds
+the last tap), and the product, written into rows one entry longer, is
+reshaped so that each of its diagonals lines up in a column.  The product
+keeps the shape of a single series on purpose: stacking the rows into one
+larger product hands it to the BLAS threads, and a second thread then
+spins between calls.  Both paths agree with the direct summation of the
+defining formula, which is kept available as a slow oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .spectral import series_rows, series_values
 
@@ -87,12 +87,18 @@ def _pow2_rows(x: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=32)
-def _mexhat_kernel(step: int) -> np.ndarray:
-    """psi at the offsets -8*step..8*step in units of 1/step (read-only)."""
+def _mexhat_taps(step: int) -> np.ndarray:
+    """psi at the offsets -8*step..8*step in units of 1/step, as a (17, step) table.
+
+    Row r holds taps r*step..(r+1)*step - 1; row 16 holds the last tap and
+    zeros (read-only).
+    """
     halfwidth = int(MEXHAT_SUPPORT) * step
-    kernel = psi(WaveletBasis.MEXICAN_HAT, np.arange(-halfwidth, halfwidth + 1) / step)
-    kernel.setflags(write=False)
-    return kernel
+    taps = np.zeros((2 * int(MEXHAT_SUPPORT) + 1, step))
+    taps.flat[:2 * halfwidth + 1] = psi(WaveletBasis.MEXICAN_HAT,
+                                        np.arange(-halfwidth, halfwidth + 1) / step)
+    taps.setflags(write=False)
+    return taps
 
 
 def _fast_coefficients(x: np.ndarray, m: int, basis: WaveletBasis, levels):
@@ -110,11 +116,13 @@ def _fast_coefficients(x: np.ndarray, m: int, basis: WaveletBasis, levels):
             yield 2.0 ** (0.5 * j) * (half[:, 0::2] - half[:, 1::2])
         return
     # coefficient k is sum_i padded[k*step + i] * kernel[i] over 16*step + 1
-    # taps; with the padded series in rows of step samples and the first
-    # 16*step taps in 16 such rows, taps r*step..(r+1)*step - 1 give entry
-    # (r, k + r) of one matrix product, and the last tap meets row k + 16;
-    # one copy padded for the coarsest level holds every level's window
-    rows = 2 * int(MEXHAT_SUPPORT)
+    # taps; with the padded series in rows of step samples and the taps in
+    # the 17 rows of ``_mexhat_taps``, taps r*step..(r+1)*step - 1 give entry
+    # (r, k + r) of one matrix product; written into rows one entry longer,
+    # those entries sit count + 18 apart, so a plain reshape lines up each
+    # diagonal in a column; one copy padded for the coarsest level holds
+    # every level's window
+    rows = 2 * int(MEXHAT_SUPPORT) + 1
     n = x.shape[1]
     widest = int(MEXHAT_SUPPORT) << (m - min(levels))
     padded = np.zeros((x.shape[0], n + 2 * widest))
@@ -123,16 +131,17 @@ def _fast_coefficients(x: np.ndarray, m: int, basis: WaveletBasis, levels):
         step = 1 << (m - j)  # samples per unit shift of the rescaled argument
         count = 1 << j
         halfwidth = int(MEXHAT_SUPPORT) * step
-        kernel = _mexhat_kernel(step)
-        taps = kernel[:-1].reshape(rows, step)
+        taps = _mexhat_taps(step)
+        width = count + rows - 1  # blocks of the level's window
         blocks = padded[:, widest - halfwidth:widest + n + halfwidth].reshape(
-            x.shape[0], count + rows, step)
+            x.shape[0], width, step)
+        flat = np.empty(rows * (width + 2))
+        product = flat[:rows * (width + 1)].reshape(rows, width + 1)[:, :width]
+        diagonals = flat.reshape(rows, width + 2)[:, :count]
         w = np.empty((x.shape[0], count))
         for coefficients, series_blocks in zip(w, blocks):
-            product = taps @ series_blocks.T  # one series per product (see above)
-            s0, s1 = product.strides
-            as_strided(product, (rows, count), (s0 + s1, s1)).sum(axis=0, out=coefficients)
-        w += blocks[:, rows:, 0] * kernel[-1]
+            np.matmul(taps, series_blocks.T, out=product)  # one series per product (see above)
+            diagonals.sum(axis=0, out=coefficients)
         yield 2.0 ** (0.5 * j) * w
 
 

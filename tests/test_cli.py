@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mplm
+from mplm import dynamics
 from mplm.cli import main
 from mplm.estimators import METHOD_NAMES
 
@@ -177,6 +179,31 @@ def test_appendixb_output(tmp_path):
     n, var, logvar = lines[1].split(",")
     assert int(n) == 256
     assert abs(np.log(float(var)) - float(logvar)) < 1e-12
+
+
+@pytest.mark.parametrize("flags", [["--grid", "0,64,128,256"], ["--burn-in", "-1"]])
+def test_appendixb_rejects_a_run_before_stepping(tmp_path, monkeypatch, capsys, flags):
+    steps = []
+    monkeypatch.setattr(dynamics, "_orbit_blocks", lambda *args: steps.append(args))
+    out = tmp_path / "scaling.csv"
+    argv = ["appendixb", "--s", "0.8", "--reps", "50", "--out", str(out)]
+    assert run_cli(argv + flags) == 1
+    assert "mplm:" in capsys.readouterr().err
+    assert steps == []
+    assert not out.exists()
+
+
+def test_each_call_sees_its_own_environment(tmp_path, monkeypatch):
+    # the parser is built once per set of MPLM_* variables: a changed
+    # variable must reach the next call in the same process
+    out = tmp_path / "env.csv"
+    argv = ["simulate", "--model", "mp", "--s", "0.5", "--burn-in", "0", "--out", str(out)]
+    for n in ("24", "7", "24"):
+        monkeypatch.setenv("MPLM_N", n)
+        assert run_cli(argv) == 0
+        assert len(out.read_text().splitlines()) == int(n) + 1
+    monkeypatch.delenv("MPLM_N")
+    assert run_cli(argv) == 1
 
 
 def test_env_variable_fallback(tmp_path, monkeypatch):

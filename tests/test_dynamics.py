@@ -204,6 +204,45 @@ def test_stall_warning_counts_a_frozen_tail_from_its_first_repeat():
         assert _stall_warnings(creep, x0, states, 0) == 0
 
 
+@pytest.mark.parametrize("burn_in", [0, 300])
+@pytest.mark.parametrize("lengths", [[1, 700, 255, 1, 256, 257, 513, 40, 513, 600],
+                                     [300] * 5])
+def test_partial_sums_equal_row_sums_of_the_batch(lengths, burn_in):
+    seeds = [derive_seed(8, "sums", r) for r in range(len(lengths))]
+    for partial_sums, simulate, param in (
+            (dynamics.mp_partial_sums, simulate_mp_batch, 0.8),
+            (dynamics.lbp_partial_sums, dynamics.simulate_lbp_batch, 2.25)):
+        want = [simulate(param, n, [seed], burn_in)[0].sum() for n, seed in zip(lengths, seeds)]
+        assert partial_sums(param, lengths, seeds, burn_in).tolist() == want
+
+
+def test_partial_sums_validation():
+    with pytest.raises(ValueError):
+        dynamics.mp_partial_sums(0.8, [10, 0], [1, 2])
+    with pytest.raises(ValueError):
+        dynamics.mp_partial_sums(0.8, [10, 20], [1, 2], burn_in=-1)
+    with pytest.raises(ValueError):
+        dynamics.lbp_partial_sums(2.25, [10, 20, 30], [1, 2])
+
+
+def test_stall_window_is_each_rows_own():
+    # a frozen row warns only when its own burn_in + length states hold
+    # STALL_LIMIT identical iterates, whatever the longer rows beside it
+    def warnings_for(lengths):
+        # lengths non-increasing, as the loop takes them; row 1 is frozen
+        blocks = dynamics._orbit_blocks(_underflowing_step, np.array([0.3, 1e-300, 0.7]),
+                                        np.array(lengths), 100)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in blocks:
+                pass
+        return sum(issubclass(w.category, StallWarning) for w in caught)
+
+    assert warnings_for([STALL_LIMIT + 500, STALL_LIMIT - 100, 50]) == 0
+    assert warnings_for([STALL_LIMIT + 500, STALL_LIMIT - 99, 50]) == 1
+    assert warnings_for([STALL_LIMIT + 500, STALL_LIMIT + 400, 50]) == 1
+
+
 def test_binary_series_validation():
     with pytest.raises(ValueError):
         BinarySeries(np.array([0.0, 0.5]), MapParams.mp(0.8), ObservableSpec(), 0, 0)

@@ -150,10 +150,8 @@ def test_cross_model_scaling_slopes_agree():
     reps = 120
 
     def slope_and_band(gen, tag):
-        sums = {}
-        for n in grid:
-            seeds = [derive_seed(31, tag, s, n, r) for r in range(reps)]
-            sums[n] = gen(s, n, seeds).sum(axis=1)
+        seeds = [derive_seed(31, tag, s, n, r) for n in grid for r in range(reps)]
+        sums = dict(zip(grid, gen(s, np.repeat(grid, reps), seeds).reshape(len(grid), reps)))
         lx = np.log(np.asarray(grid, dtype=float))
         point = ols_slope(lx, np.log([sums[n].var(ddof=1) for n in grid]))[0]
         rng = np.random.default_rng(7)

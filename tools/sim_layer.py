@@ -7,7 +7,12 @@
 Each (model, s, width) unit times ``simulate_{mp,lbp,markov}_batch`` on
 ``width`` seeds at length N with no burn-in, for s = 0.65 and 0.8 (the lbp
 and markov models at gamma = 1 + 1/s), and divides by width * N.  The
-program is imported from the ``src/`` next to this script.
+``appendixb`` unit times the partial-sum path of ``mplm appendixb``,
+``mp_partial_sums`` on ``width`` seeds whose lengths cycle through N, N/2,
+N/4 and N/8, and divides by the sum of the lengths; a tree without
+``mp_partial_sums`` runs one ``simulate_mp_batch`` per length and sums its
+rows, as ``scaling_exponent`` did before it.  The program is imported from
+the ``src/`` next to this script.
 
 With ``--parent REV`` the ``src/mplm`` of ``git archive REV`` is loaded
 into the same process as the package ``mplm_parent``; each unit then runs
@@ -39,7 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from mplm import dynamics  # noqa: E402
 
-MODELS = ("mp", "lbp", "markov")
+MODELS = ("mp", "lbp", "markov", "appendixb")
 EXPONENTS = (0.65, 0.8)  # the s values of the sim-models cells
 WIDTHS = (20, 50, 200, 1800)
 N = 3000
@@ -62,10 +67,23 @@ def load_parent(rev: str, dest: Path):
     return importlib.import_module("mplm_parent.dynamics")
 
 
+def grid_lengths(n: int, width: int) -> list[int]:
+    """The ``appendixb`` unit's lengths: N, N/2, N/4, N/8, N, ... over ``width`` rows."""
+    return [n >> (r % 4) for r in range(width)]
+
+
 def simulate(module, model: str, s: float, n: int, seeds) -> float:
     """Seconds of one batch simulation by ``module`` (a ``dynamics``)."""
     start = time.perf_counter()
-    if model == "mp":
+    if model == "appendixb":
+        lengths = grid_lengths(n, len(seeds))
+        if hasattr(module, "mp_partial_sums"):
+            module.mp_partial_sums(s, lengths, seeds, burn_in=0)
+        else:
+            for length in set(lengths):
+                rows = [seed for seed, k in zip(seeds, lengths) if k == length]
+                module.simulate_mp_batch(s, length, rows, burn_in=0).sum(axis=1)
+    elif model == "mp":
         module.simulate_mp_batch(s, n, seeds, burn_in=0)
     elif model == "lbp":
         module.simulate_lbp_batch(module.equivalent_gamma(s), n, seeds, burn_in=0)
@@ -105,8 +123,9 @@ def main(argv=None) -> int:
         for model in MODELS:
             for s in EXPONENTS:
                 for w in widths:
+                    samples = sum(grid_lengths(n, w)) if model == "appendixb" else w * n
                     for table, times in zip(tables, unit_times(modules, model, s, n, w, runs)):
-                        table[model][str(s)][str(w)] = round(stat(times) * 1e9 / (w * n), 1)
+                        table[model][str(s)][str(w)] = round(stat(times) * 1e9 / samples, 1)
     result = {"n": n, "burn_in": 0, "runs": runs,
               "unit": f"ns per sample, {'median' if paired else 'best'} of runs",
               "ns_per_sample": tables[-1]}
