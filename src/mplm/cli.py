@@ -48,13 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{message}\n{self.format_usage()}")
 
 
-def _flag(parser, flag: str, default=None, required: bool = False, **kwargs) -> None:
-    """Add ``flag``; a set ``MPLM_<FLAG>`` variable replaces its default.
+def _flag(parser, env: dict, flag: str, default=None, required: bool = False, **kwargs) -> None:
+    """Add ``flag``; an ``MPLM_<FLAG>`` entry of ``env`` replaces its default.
 
     argparse parses a string default with the flag's ``type``, so an
     environment value is checked like a given flag, ``choices`` excepted.
     """
-    text = os.environ.get(ENV_PREFIX + flag[2:].replace("-", "_").upper())
+    text = env.get(ENV_PREFIX + flag[2:].replace("-", "_").upper())
     if text is not None:
         default, required = text, False
     parser.add_argument(flag, default=default, required=required, **kwargs)
@@ -301,58 +301,59 @@ def _cmd_appendixb(args) -> int:
 
 @functools.lru_cache(maxsize=1)
 def _build_parser(env: tuple) -> _Parser:
-    """The parser for ``env``, the sorted ``MPLM_*`` variables its defaults come from.
+    """The parser whose defaults come from ``env``, the sorted ``MPLM_*`` variables.
 
-    ``_flag`` reads them from ``os.environ``, which ``main`` keys the cache
-    by, so a process builds one parser until a variable changes.
+    ``main`` passes the current ones, so a process builds one parser until
+    a variable changes.
     """
+    env = dict(env)
     parser = _Parser(prog="mplm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mplm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate", help="generate a 0/1 series")
-    _flag(p, "--model", "mp", choices=tuple(_MODEL_PARAMETER))
-    _flag(p, "--s", type=float)
-    _flag(p, "--gamma", type=float)
-    _flag(p, "--n", type=int, required=True)
-    _flag(p, "--seed", 0, type=int)
-    _flag(p, "--burn-in", 10_000, type=int)
-    _flag(p, "--interval", (0.1, 0.9), type=_parse_interval)
-    _flag(p, "--out")
+    _flag(p, env, "--model", "mp", choices=tuple(_MODEL_PARAMETER))
+    _flag(p, env, "--s", type=float)
+    _flag(p, env, "--gamma", type=float)
+    _flag(p, env, "--n", type=int, required=True)
+    _flag(p, env, "--seed", 0, type=int)
+    _flag(p, env, "--burn-in", 10_000, type=int)
+    _flag(p, env, "--interval", (0.1, 0.9), type=_parse_interval)
+    _flag(p, env, "--out")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("spectrum", help="periodogram or smoothed spectrum of a series")
-    _flag(p, "--in", dest="infile", required=True)
-    _flag(p, "--smooth", "none", choices=("none", "parzen", "cosbell"))
-    _flag(p, "--m", type=int)
-    _flag(p, "--out")
+    _flag(p, env, "--in", dest="infile", required=True)
+    _flag(p, env, "--smooth", "none", choices=("none", "parzen", "cosbell"))
+    _flag(p, env, "--m", type=int)
+    _flag(p, env, "--out")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("estimate", help="estimate the exponent from a series")
-    _flag(p, "--in", dest="infile", required=True)
-    _flag(p, "--method", choices=METHOD_NAMES, required=True)
-    p.add_argument("--json", action="store_true", default=os.environ.get(
+    _flag(p, env, "--in", dest="infile", required=True)
+    _flag(p, env, "--method", choices=METHOD_NAMES, required=True)
+    p.add_argument("--json", action="store_true", default=env.get(
         ENV_PREFIX + "JSON", "").strip().lower() in ("1", "true", "yes", "on"))
-    _flag(p, "--block-exponent", type=float)
-    _flag(p, "--freq-index", type=int)
+    _flag(p, env, "--block-exponent", type=float)
+    _flag(p, env, "--freq-index", type=int)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("montecarlo", help="replication study over a grid of cells")
-    _flag(p, "--spec")
-    _flag(p, "--preset")
-    _flag(p, "--scale", 1.0, type=float)
-    _flag(p, "--seed", DEFAULT_BASE_SEED, type=int)
-    _flag(p, "--threads", type=int)
-    _flag(p, "--out-dir", ".")
+    _flag(p, env, "--spec")
+    _flag(p, env, "--preset")
+    _flag(p, env, "--scale", 1.0, type=float)
+    _flag(p, env, "--seed", DEFAULT_BASE_SEED, type=int)
+    _flag(p, env, "--threads", type=int)
+    _flag(p, env, "--out-dir", ".")
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("appendixb", help="partial-sum variance scaling fit")
-    _flag(p, "--s", type=float, required=True)
-    _flag(p, "--grid", (1024, 2048, 4096, 8192, 16384), type=_parse_grid)
-    _flag(p, "--reps", 200, type=int)
-    _flag(p, "--seed", 0, type=int)
-    _flag(p, "--burn-in", 10_000, type=int)
-    _flag(p, "--out")
+    _flag(p, env, "--s", type=float, required=True)
+    _flag(p, env, "--grid", (1024, 2048, 4096, 8192, 16384), type=_parse_grid)
+    _flag(p, env, "--reps", 200, type=int)
+    _flag(p, env, "--seed", 0, type=int)
+    _flag(p, env, "--burn-in", 10_000, type=int)
+    _flag(p, env, "--out")
     p.set_defaults(func=_cmd_appendixb)
 
     return parser

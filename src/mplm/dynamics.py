@@ -88,6 +88,13 @@ def _require_gamma(gamma: float) -> None:
         )
 
 
+def _require_run(n: int, burn_in: int) -> None:
+    if n < 1:
+        raise ValueError(f"series length must be >= 1, got {n}")
+    if burn_in < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
+
+
 def _require_unit(x: float) -> None:
     if not np.isfinite(x) or x < 0.0 or x > 1.0:
         raise ValueError(f"state must lie in [0, 1], got {x}")
@@ -283,25 +290,17 @@ def _orbit_sums(step, lengths, seeds, burn_in: int, observable: ObservableSpec) 
     The rows step longest first in one loop; no series is stored.
     """
     lengths = np.array(lengths, dtype=np.int64, ndmin=1)
+    if lengths.size != len(seeds):
+        raise ValueError(f"need one length per seed, got {lengths.size} for {len(seeds)} seeds")
+    _require_run(lengths.min(initial=1), burn_in)
     order = np.argsort(-lengths, kind="stable")
-    x0 = _start_points(seeds, lengths, burn_in)[order]
+    x0 = stream_uniforms(seeds, 1)[order, 0]
     sums = np.zeros(lengths.size)
     for _, states in _orbit_blocks(step, x0, lengths[order], burn_in):
         sums[:states.shape[1]] += observable.indicate(states).sum(axis=0)
     out = np.empty_like(sums)
     out[order] = sums
     return out
-
-
-def _start_points(seeds, lengths, burn_in: int) -> np.ndarray:
-    """Each seed's uniform start point, once the run (one length, or one per seed) is checked."""
-    if np.ndim(lengths) and len(lengths) != len(seeds):
-        raise ValueError(f"need one length per seed, got {len(lengths)} for {len(seeds)} seeds")
-    if np.min(lengths) < 1:
-        raise ValueError(f"series length must be >= 1, got {np.min(lengths)}")
-    if burn_in < 0:
-        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    return stream_uniforms(seeds, 1)[:, 0]
 
 
 def _mp_stepper(s: float):
@@ -324,7 +323,9 @@ def simulate_mp_batch(s: float, n: int, seeds, burn_in: int = 10_000,
     replication owns its stream and only the start point is random.
     """
     _require_s(s)
-    return _iterate_map(_mp_stepper(s), _start_points(seeds, n, burn_in), n, burn_in, observable)
+    _require_run(n, burn_in)
+    x0 = stream_uniforms(seeds, 1)[:, 0]
+    return _iterate_map(_mp_stepper(s), x0, n, burn_in, observable)
 
 
 def mp_partial_sums(s: float, lengths, seeds, burn_in: int = 10_000,
@@ -455,7 +456,8 @@ def simulate_lbp_batch(gamma: float, n: int, seeds, burn_in: int = 10_000,
                        observable: ObservableSpec = ObservableSpec()) -> np.ndarray:
     """Piecewise-linear analogue of ``simulate_mp_batch``."""
     _require_gamma(gamma)
-    x0 = _start_points(seeds, n, burn_in)
+    _require_run(n, burn_in)
+    x0 = stream_uniforms(seeds, 1)[:, 0]
     return _iterate_map(_lbp_stepper(gamma), x0, n, burn_in, observable)
 
 

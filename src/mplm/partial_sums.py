@@ -20,6 +20,9 @@ import numpy as np
 
 from ._seeds import derive_seeds, stream_uniforms
 from .dynamics import ObservableSpec, lbp_partial_sums, mp_partial_sums
+# perfbench/tracer.py wraps partial_sums.simulate_mp_batch and perfbench/selfcheck.py
+# looks it up, so the name stays importable here; no generator calls it
+from .dynamics import simulate_mp_batch  # noqa: F401
 from .estimators import ols_slope
 from .spectral import AcvEstimate
 

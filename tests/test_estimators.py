@@ -469,9 +469,7 @@ def _perfbench_module(name):
 def test_benchmark_tracer_binds_the_program(tmp_path, monkeypatch):
     # the benchmark's tracer wraps names it looks up in the program (some
     # only it uses) and binds run_experiment's spec and threads arguments;
-    # a run through it must find every name and bind without error; the
-    # one exception is its ``partial_sums.simulate_mp_batch`` target, since
-    # ``scaling_exponent``'s generators step the orbit loop themselves
+    # a run through it must find every name and bind without error
     monkeypatch.setitem(sys.modules, "workloads", _perfbench_module("workloads"))
     tracer_module = _perfbench_module("tracer")
     spec = tmp_path / "spec.txt"
@@ -480,7 +478,7 @@ def test_benchmark_tracer_binds_the_program(tmp_path, monkeypatch):
         rc = cli.main(["montecarlo", "--spec", str(spec), "--threads", "2",
                        "--out-dir", str(tmp_path / "out")])
     assert rc == 0
-    assert tracer.missing == ["mplm.partial_sums.simulate_mp_batch"]
+    assert tracer.missing == []
     assert tracer.busy["montecarlo"] > 0.0
 
 
