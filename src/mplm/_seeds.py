@@ -14,8 +14,6 @@ import hashlib
 
 import numpy as np
 
-GENERATOR_NAME = "philox4x64-10"
-
 
 def _canonical(part) -> str:
     # repr() keeps float labels exact (shortest round-trip form)

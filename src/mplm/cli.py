@@ -99,6 +99,11 @@ def _emit_manifest(target, subcommand: str, params: dict, seed, started: str,
             handle.write(text + "\n")
 
 
+def _beside(out):
+    """The manifest path next to an output file, or None (stderr) for stdout."""
+    return out + ".manifest.json" if out else None
+
+
 def _write_lines(out_path, lines) -> None:
     if out_path is None:
         for line in lines:
@@ -131,12 +136,11 @@ def _read_series(path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its manifest as (target, params, seed, extra)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
-    started = _utc_now()
+def _cmd_simulate(args):
     if args.model not in _MODEL_PARAMETER:
         raise ValueError(f"unknown model {args.model!r}")
     key = _MODEL_PARAMETER[args.model]
@@ -155,13 +159,10 @@ def _cmd_simulate(args) -> int:
     _write_lines(args.out, lines)
     params = {"model": args.model, "n": args.n, "burn_in": args.burn_in,
               "interval": list(args.interval), "out": args.out, key: value}
-    _emit_manifest(args.out + ".manifest.json" if args.out else None,
-                   "simulate", params, args.seed, started)
-    return 0
+    return _beside(args.out), params, args.seed, None
 
 
-def _cmd_spectrum(args) -> int:
-    started = _utc_now()
+def _cmd_spectrum(args):
     x = _read_series(args.infile)
     if args.smooth == "none":
         if args.m is not None:
@@ -174,13 +175,10 @@ def _cmd_spectrum(args) -> int:
     lines += [f"{_fmt(w)},{_fmt(v)}" for w, v in zip(per.freqs, per.ordinates)]
     _write_lines(args.out, lines)
     params = {"in": args.infile, "smooth": args.smooth, "m": per.truncation, "out": args.out}
-    _emit_manifest(args.out + ".manifest.json" if args.out else None,
-                   "spectrum", params, None, started)
-    return 0
+    return _beside(args.out), params, None, None
 
 
-def _cmd_estimate(args) -> int:
-    started = _utc_now()
+def _cmd_estimate(args):
     x = _read_series(args.infile)
     config = {key: getattr(args, key) for key in ("block_exponent", "freq_index")
               if getattr(args, key) is not None}
@@ -205,9 +203,7 @@ def _cmd_estimate(args) -> int:
     else:
         tag = "" if result.valid else f"  INVALID ({result.reason})"
         print(f"{result.method}: s_hat={_fmt(result.s_hat)}{tag}")
-    _emit_manifest(None, "estimate",
-                   {"in": args.infile, "method": args.method, **config}, None, started)
-    return 0
+    return None, {"in": args.infile, "method": args.method, **config}, None, None
 
 
 _SPEC_KEYS = ("s", "n", "methods", "replications", "seed", "model", "burn_in", "interval")
@@ -233,7 +229,7 @@ def _spec_from_file(path: str) -> ExperimentSpec:
         n_values = tuple(int(v) for v in fields["n"].split(","))
         methods = tuple(m.strip() for m in fields["methods"].split(","))
     except KeyError as exc:
-        raise ValueError(f"spec file is missing required key: {exc}") from exc
+        raise ValueError(f"{path}: spec file is missing required key: {exc}") from exc
     observable = ObservableSpec(*_parse_interval(fields.get("interval", "0.1,0.9")))
     return ExperimentSpec(
         s_values, n_values, methods, int(fields.get("replications", "200")),
@@ -244,8 +240,7 @@ def _spec_from_file(path: str) -> ExperimentSpec:
     )
 
 
-def _cmd_montecarlo(args) -> int:
-    started = _utc_now()
+def _cmd_montecarlo(args):
     wall_start = time.monotonic()
     if (args.preset is None) == (args.spec is None):
         raise ValueError("give exactly one of --preset or --spec")
@@ -271,15 +266,11 @@ def _cmd_montecarlo(args) -> int:
         "replications": spec.replications, "model": spec.model,
         "burn_in": spec.burn_in,
     }
-    _emit_manifest(os.path.join(args.out_dir, "manifest.json"), "montecarlo", params,
-                   spec.base_seed, started,
-                   extra={"wall_seconds": round(time.monotonic() - wall_start, 3),
-                          "output_csv": csv_path})
-    return 0
+    extra = {"wall_seconds": round(time.monotonic() - wall_start, 3), "output_csv": csv_path}
+    return os.path.join(args.out_dir, "manifest.json"), params, spec.base_seed, extra
 
 
-def _cmd_appendixb(args) -> int:
-    started = _utc_now()
+def _cmd_appendixb(args):
     fit = scaling_exponent(mp_generator(burn_in=args.burn_in), args.s, args.grid,
                            args.reps, args.seed)
     lines = ["N,var,log_var"]
@@ -289,9 +280,7 @@ def _cmd_appendixb(args) -> int:
     _write_lines(args.out, lines)
     params = {"s": args.s, "grid": list(map(int, fit.grid)), "reps": args.reps,
               "burn_in": args.burn_in, "out": args.out}
-    _emit_manifest(args.out + ".manifest.json" if args.out else None,
-                   "appendixb", params, args.seed, started)
-    return 0
+    return _beside(args.out), params, args.seed, None
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +353,10 @@ def main(argv=None) -> int:
         item for item in os.environ.items() if item[0].startswith(ENV_PREFIX))))
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = _utc_now()
+        target, params, seed, extra = args.func(args)
+        _emit_manifest(target, args.subcommand, params, seed, started, extra)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"mplm: {exc}", file=sys.stderr)
         return 1

@@ -184,11 +184,15 @@ class BinarySeries:
 
 
 def mp_step(s: float, x: float) -> float:
-    """One application of x -> x + x**(1+s) (mod 1)."""
+    """One application of x -> x + x**(1+s) (mod 1).
+
+    The step ``simulate_mp_batch`` takes (numpy's power), applied to one state.
+    """
     _require_s(s)
     _require_unit(x)
-    y = x + x ** (1.0 + s)
-    return y - 1.0 if y > 1.0 else y
+    y = np.empty(1)
+    _mp_stepper(s)(np.array([x]), y)
+    return float(y[0])
 
 
 def mp_branch_point(s: float) -> float:
@@ -227,16 +231,14 @@ def _orbit_blocks(step, x0: np.ndarray, lengths: np.ndarray, burn_in: int):
 
     ``StallWarning`` fires once per call when a row repeats one state for
     ``STALL_LIMIT`` consecutive steps within its own ``burn_in +
-    lengths[r]`` states.  The step is deterministic, so a row whose
-    successor equals x stays frozen: its first repeat decides whether its
-    window is long enough for the frozen tail to reach the limit.
+    lengths[r]`` states.  The step is deterministic, so a repeated state
+    repeats for ever: the row stalls exactly when its state ``burn_in +
+    lengths[r] - STALL_LIMIT`` equals the one before it.
     """
     buf = np.empty((_STEP_BUFFER + 1, x0.size))
     buf[0] = x0
     ends = burn_in + lengths - 1  # each row's last state
-    # per row, the last step at which a first repeat still leaves STALL_LIMIT steps
-    stall_starts = ends + 1 - STALL_LIMIT
-    stall_until = int(stall_starts.max(initial=0))
+    stall_at = ends + 1 - STALL_LIMIT  # non-increasing, as the lengths are
     t, w, first_unrecorded = 0, x0.size, burn_in
     states = list(buf)
     while w:
@@ -245,24 +247,17 @@ def _orbit_blocks(step, x0: np.ndarray, lengths: np.ndarray, burn_in: int):
         k = min(_STEP_BUFFER, end - t)
         for i in range(k):
             step(states[i], states[i + 1])
-        if k > 0 and t < stall_until:
-            frozen = buf[k, :w] == buf[k - 1, :w]
-            frozen &= t < stall_starts[:w]
-            if frozen.any():
-                rows = np.flatnonzero(frozen)
-                first = t + 1 + (buf[1:k + 1, rows] == buf[:k, rows]).argmax(axis=0)
-                if np.any(first <= stall_starts[rows]):
-                    warnings.warn(
-                        f"orbit numerically frozen: {STALL_LIMIT} consecutive identical "
-                        "iterates (laminar excursion below 64-bit resolution)",
-                        StallWarning,
-                        stacklevel=4,
-                    )
-                    stall_starts[:] = t  # once per call
-                else:
-                    # a later first repeat leaves fewer steps: stop checking these rows
-                    stall_starts[rows] = t
-                stall_until = int(stall_starts.max())
+        if t < stall_at[0] and stall_at[w - 1] <= t + k:
+            rows = np.flatnonzero((t < stall_at[:w]) & (stall_at[:w] <= t + k))
+            at = stall_at[rows] - t  # the buffer row of each stall state
+            if np.any(buf[at, rows] == buf[at - 1, rows]):
+                warnings.warn(
+                    f"orbit numerically frozen: {STALL_LIMIT} consecutive identical "
+                    "iterates (laminar excursion below 64-bit resolution)",
+                    StallWarning,
+                    stacklevel=4,
+                )
+                stall_at[:] = 0  # once per call
         if first_unrecorded <= t + k:
             yield first_unrecorded - burn_in, buf[first_unrecorded - t:k + 1, :w]
             first_unrecorded = t + k + 1
@@ -535,15 +530,14 @@ def _invert_tail(eval_tail, target: float, start: int, stop=np.inf) -> int:
 @lru_cache(maxsize=32)
 def _stationary_cdf(gamma: float):
     """CDF of the stationary law over states 0.._ZIPF_TABLE_SIZE-1."""
-    znorm = zeta_value(gamma - 1.0)
     terms = np.arange(1, _ZIPF_TABLE_SIZE + 1, dtype=np.float64) ** (-gamma)
     # suffix[k] = sum over n = k+1.._ZIPF_TABLE_SIZE of n**-gamma; summing
     # backwards avoids the cancellation of zeta - partial_sum
     suffix = np.cumsum(terms[::-1])[::-1]
-    pi = (suffix + tail_sum(gamma, _ZIPF_TABLE_SIZE)) / znorm
+    pi = (suffix + tail_sum(gamma, _ZIPF_TABLE_SIZE)) / zeta_value(gamma - 1.0)
     cdf = np.cumsum(pi)
     cdf.setflags(write=False)
-    return cdf, znorm
+    return cdf
 
 
 def _stationary_tail_mass(gamma: float, k: int) -> float:
@@ -579,7 +573,7 @@ def _chain_zeros(gamma: float, n: int, u: np.ndarray, last=None) -> np.ndarray:
             steps[r, i] = _invert_tail(lambda k: tail_sum(gamma, k),
                                        (1.0 - u[r, i]) * z, _ZIPF_TABLE_SIZE, n)
     if last is None:
-        steps[:, 0] = np.searchsorted(_stationary_cdf(gamma)[0], u[:, 0], side="left")
+        steps[:, 0] = np.searchsorted(_stationary_cdf(gamma), u[:, 0], side="left")
         for r in np.flatnonzero(steps[:, 0] >= _ZIPF_TABLE_SIZE):
             steps[r, 0] = _invert_tail(lambda j: _stationary_tail_mass(gamma, j),
                                        1.0 - u[r, 0], _ZIPF_TABLE_SIZE, n)
@@ -601,8 +595,7 @@ def simulate_markov_batch(gamma: float, n: int, seeds) -> np.ndarray:
     run in chunks of at most ``_CHAIN_CHUNK_DRAWS`` draws.
     """
     _require_gamma(gamma)
-    if n < 1:
-        raise ValueError(f"series length must be >= 1, got {n}")
+    _require_run(n, 0)
     out = np.ones((len(seeds), n))
     mean_cycle = zeta_value(gamma - 1.0) / zeta_value(gamma)
     count = 1 + max(64, int(_CHAIN_PREFIX * (n - 1) / mean_cycle) + 8)

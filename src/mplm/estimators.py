@@ -41,8 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (LagWindowSpec, default_truncation, lag_window_band, lag_window_gaps,
-                       periodogram_band, series_rows, series_values)
+from .spectral import (LagWindowSpec, _centred, default_truncation, lag_window_band,
+                       lag_window_gaps, periodogram_band, series_rows, series_values)
 # No estimator calls the full-grid spectra or sample_R any more.
 # perfbench/tracer.py and perfbench/selfcheck.py look these names up here,
 # and the selfcheck fails without them; the tracer's spectral.* and
@@ -53,6 +53,7 @@ from .wavelet import WaveletBasis, WaveletLadder, ladder_rows, sample_R  # noqa:
 
 ORDINATE_FLOOR = 1e-15  # clamp for nonpositive ordinates ahead of logs
 LADDER_FLOOR = 1e-300
+_ROUNDING = 64.0 * np.finfo(np.float64).eps  # a relative spread, or a 1 - d, that is rounding
 NON_FINITE = "series has a non-finite value"
 
 # ``estimate_batch`` runs a method on at most CHUNK_VALUES samples of rows at
@@ -225,10 +226,10 @@ def _r_squared(design, ys, slope) -> np.ndarray:
     # R^2 = slope^2 Sxx / Syy; a row whose spread is within rounding of its
     # values (a band clamped throughout, or the flat spectrum of a lone
     # spike) is fitted exactly, and its Syy is rounding noise
-    xc, _, sxx = design
-    dev = ys - ys.sum(axis=1, keepdims=True) / xc.size
+    sxx = design[2]
+    dev = _centred(ys)
     scale = np.maximum(1.0, np.abs(ys).max(axis=1))
-    flat = ys.max(axis=1) - ys.min(axis=1) <= 64.0 * np.finfo(np.float64).eps * scale
+    flat = ys.max(axis=1) - ys.min(axis=1) <= _ROUNDING * scale
     return np.where(flat, 1.0, slope * slope * sxx / np.where(flat, 1.0, (dev * dev).sum(axis=1)))
 
 
@@ -344,9 +345,8 @@ def _block_sums(x: np.ndarray, length: int) -> np.ndarray:
 
 def _row_variances(v: np.ndarray) -> np.ndarray:
     """Sample variance (R - 1 divisor) of each row, formed as ``var(ddof=1)`` forms it."""
-    k = v.shape[1]
-    dev = v - v.sum(axis=1, keepdims=True) / k
-    return (dev * dev).sum(axis=1) / (k - 1)
+    dev = _centred(v)
+    return (dev * dev).sum(axis=1) / (v.shape[1] - 1)
 
 
 def _varmp_rows(x: np.ndarray, method: str, block_exponent: float = 0.7) -> BatchEstimate:
@@ -385,7 +385,7 @@ def _vpmp_inversion(sizes, variances: np.ndarray, method: str) -> BatchEstimate:
             return "degenerate block-mean variance"
         return f"memory parameter estimate {d[i]:.6g} >= 1"
 
-    invalid = degenerate | (d >= 1.0)
+    invalid = degenerate | (1.0 - d <= _ROUNDING)
     return _finish(method, s_from_memory(np.where(invalid, np.nan, d)),
                    np.where(degenerate, np.nan, slope), k.size, invalid, reason_of,
                    {"memory_d": d, "intercept": intercept},
@@ -423,17 +423,15 @@ def _wmp_inversion(levels: np.ndarray, values: np.ndarray, method: str) -> Batch
     With x_j the centered values of log(2**(-2j)) over the ladder levels,
     returns sum(x^2) / (2 (sum(x^2) - sum(x * log R_hat))), which equals
     1/(2(1-d)) for d the least-squares slope of log R_hat on log(2**(-2j)).
+    A row whose 1 - d is at most ``_ROUNDING`` (d = 1 up to rounding) is invalid.
     """
-    xs = -2.0 * levels.astype(np.float64) * math.log(2.0)
-    xs = xs - xs.sum() / xs.size
+    xs, _, sxx = _design(-2.0 * levels.astype(np.float64) * math.log(2.0))
     logs, floored = _safe_log(values, LADDER_FLOOR)
-    sxx = float(xs @ xs)
     sxy = (logs[:, None, :] @ xs)[:, 0]  # one product per row, as in ``_fit_rows``
-    denom = 2.0 * (sxx - sxy)
     d = sxy / sxx
-    invalid = denom <= 0.0
-    return _finish(method, sxx / np.where(invalid, np.nan, denom), d, levels.size, invalid,
-                   lambda i: f"memory parameter estimate {d[i]:.6g} >= 1",
+    invalid = 1.0 - d <= _ROUNDING
+    return _finish(method, sxx / np.where(invalid, np.nan, 2.0 * (sxx - sxy)), d, levels.size,
+                   invalid, lambda i: f"memory parameter estimate {d[i]:.6g} >= 1",
                    {"floored_levels": floored, "memory_d": d}, {"levels": levels})
 
 

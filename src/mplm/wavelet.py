@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import series_rows, series_values
+from .spectral import _centred, series_rows, series_values
 
 MEXHAT_SUPPORT = 8.0  # |psi| < 1e-12 beyond this
 
@@ -189,7 +189,7 @@ def ladder_rows(rows, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
     if m < 6:
         raise ValueError(f"need a series of at least 64 samples, got {x.shape[1]}")
     levels = np.arange(4, m)
-    x = x - x.sum(axis=1, keepdims=True) / x.shape[1]
+    x = _centred(x)
     values = np.empty((x.shape[0], levels.size))
     for i, w in enumerate(_fast_coefficients(x, m, basis, levels.tolist())):
         values[:, i] = (w**2).sum(axis=1) / w.shape[1]  # the mean square, as ``mean`` forms it

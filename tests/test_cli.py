@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import mplm
-from mplm import dynamics
+from mplm import cli, dynamics
 from mplm.cli import main
 from mplm.estimators import METHOD_NAMES
+from mplm.spectral import periodogram
 
 
 def run_cli(args):
@@ -316,6 +317,70 @@ def test_env_values_checked_like_flags(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MPLM_JSON", "0")
     assert run_cli(["estimate", "--method", "perio", "--in", str(series)]) == 0
     assert capsys.readouterr().out.startswith("perio: s_hat=")
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_exit_zero(flag, capsys):
+    assert run_cli([flag]) == 0
+    assert capsys.readouterr().out.startswith("mplm " if flag == "--version" else "usage: mplm")
+
+
+def test_runtime_failure_exits_two(monkeypatch, capsys):
+    def fail(*args):
+        raise RuntimeError("simulator broke")
+
+    monkeypatch.setattr(cli, "simulate_mp", fail)
+    assert run_cli(["simulate", "--s", "0.8", "--n", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "runtime failure: simulator broke" in err
+    assert "manifest" not in err and "subcommand" not in err
+
+
+def test_spectrum_without_smoothing_writes_the_periodogram(tmp_path):
+    series = tmp_path / "s.csv"
+    run_cli(["simulate", "--s", "0.8", "--n", "300", "--seed", "9", "--burn-in", "0",
+             "--out", str(series)])
+    out = tmp_path / "per.csv"
+    assert run_cli(["spectrum", "--in", str(series), "--smooth", "none", "--out", str(out)]) == 0
+    per = periodogram(cli._read_series(str(series)))
+    assert out.read_text().splitlines() == ["omega,ordinate"] + [
+        f"{w:.17g},{v:.17g}" for w, v in zip(per.freqs, per.ordinates)]
+    manifest = json.loads((tmp_path / "per.csv.manifest.json").read_text())
+    assert manifest["subcommand"] == "spectrum" and manifest["parameters"]["m"] is None
+
+
+def test_header_only_input_exits_one(tmp_path, capsys):
+    series = tmp_path / "empty.csv"
+    series.write_text("t,x\n\n")
+    assert run_cli(["estimate", "--method", "perio", "--in", str(series)]) == 1
+    assert f"no numeric data in {series}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["s=0.8\nn 256\nmethods=perio\n", "s=0.8\nmethods=perio\n"],
+                         ids=["no-equals-sign", "no-n"])
+def test_spec_file_without_a_key_or_its_equals_sign_exits_one(tmp_path, capsys, text):
+    spec = tmp_path / "run.spec"
+    spec.write_text(text)
+    out_dir = tmp_path / "out"
+    assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+    assert f"mplm: {spec}:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_failed_cell_is_reported_on_stderr(tmp_path, capsys):
+    # an observable interval the orbit never visits gives constant rows,
+    # which vpmp calls invalid: every replication fails
+    spec = tmp_path / "run.spec"
+    spec.write_text("s=0.8\nn=1000\nmethods=vpmp\nreplications=4\n"
+                    "interval=0.9999999,1.0\n")
+    assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+    assert "cell s=0.8 N=1000 vpmp: failed (4/4 invalid)" in capsys.readouterr().err
+    assert (tmp_path / "results.csv").read_text().splitlines()[1].endswith(",4")
+
+
+def test_interval_needs_two_values(capsys):
+    assert run_cli(["simulate", "--s", "0.8", "--n", "8", "--interval", "0.1"]) == 1
+    assert "--interval" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

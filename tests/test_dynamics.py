@@ -50,6 +50,17 @@ def test_mp_step_direct_evaluation():
     assert_allclose(mp_step(0.8, 0.9), 0.7272489, atol=1e-6)
 
 
+@pytest.mark.parametrize("s", [0.3, 0.65, 0.8, 1.2])
+def test_mp_step_is_the_simulators_step(s):
+    # state 1 of the orbit loop simulate_mp_batch runs, bit for bit; Python's
+    # float ** differs from numpy's power in the last bit for some x
+    x = np.concatenate(([0.0, 1e-300, 0.5, 1.0], make_rng(derive_seed("mp_step", s)).random(5000)))
+    blocks = dynamics._orbit_blocks(dynamics._mp_stepper(s), x, np.ones(x.size, dtype=int), 1)
+    first, states = next(blocks)
+    assert first == 0
+    assert [mp_step(s, v) for v in x] == states[0].tolist()
+
+
 def test_mp_step_stays_in_unit_interval():
     rng = np.random.default_rng(0)
     for s in (0.3, 0.6, 0.8, 1.0, 1.3):
@@ -204,6 +215,28 @@ def test_stall_warning_counts_a_frozen_tail_from_its_first_repeat():
         assert _stall_warnings(creep, x0, states, 0) == 0
 
 
+@pytest.mark.parametrize("cap, others", [(256.0, []), (29.0, [30])])
+def test_stall_state_first_in_its_buffer(cap, others):
+    # row 0 counts up to cap and then holds it, so its first repeat is
+    # state cap + 1: the first step of a buffer whose buf[0] holds state
+    # cap, the end of a full buffer (cap 256) or the last state of a
+    # shorter row that left there (cap 29, row 1 of length 30)
+    def climb(x, out):
+        out[...] = np.where(x < cap, x + 1.0, x)
+
+    def warnings_for(stall_at):
+        # row 0's stall state, burn_in + length - STALL_LIMIT, is stall_at
+        lengths = np.array([stall_at + STALL_LIMIT] + others)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in dynamics._orbit_blocks(climb, np.zeros(lengths.size), lengths, 0):
+                pass
+        return sum(issubclass(w.category, StallWarning) for w in caught)
+
+    assert warnings_for(int(cap) + 1) == 1
+    assert warnings_for(int(cap)) == 0
+
+
 @pytest.mark.parametrize("burn_in", [0, 300])
 @pytest.mark.parametrize("lengths", [[1, 700, 255, 1, 256, 257, 513, 40, 513, 600],
                                      [300] * 5])
@@ -274,6 +307,11 @@ def test_observable_spec_validation():
 # ---------------------------------------------------------------------------
 # piecewise-linear map
 # ---------------------------------------------------------------------------
+
+
+def test_lbp_step_fixes_zero():
+    for gamma in (2.25, 3.0):
+        assert lbp_step(gamma, 0.0) == 0.0
 
 
 def test_lbp_rightmost_cell_slope_and_continuity():
@@ -604,6 +642,17 @@ def test_simulate_markov_batch_heavy_stationary_tail():
     for n in (50, 2 * dynamics._ZIPF_TABLE_SIZE):
         rows = simulate_markov_batch(2.001, n, list(range(12)))
         assert rows.shape == (12, n) and (rows == 1.0).all(axis=1).sum() >= 6
+
+
+def test_negative_indices_and_empty_runs_are_rejected():
+    with pytest.raises(ValueError, match="cell index"):
+        lbp_cell_bounds(2.5, -1)
+    with pytest.raises(ValueError, match="state index"):
+        markov_stationary(2.5, -1)
+    with pytest.raises(ValueError, match="series length"):
+        simulate_markov_batch(2.5, 0, [1, 2])
+    with pytest.raises(ValueError, match="takes gamma only"):
+        MapParams(MapParams.lbp(2.5).kind, s=0.8)
 
 
 def test_markov_rejects_gamma_at_most_two():

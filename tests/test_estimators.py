@@ -52,6 +52,11 @@ def test_ols_degenerate_abscissae():
         ols_slope([1.0], [2.0])
 
 
+def test_ols_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="paired points"):
+        ols_slope([0.0, 1.0, 2.0], [1.0, 2.0])
+
+
 def test_ols_matches_polyfit_oracle():
     rng = np.random.default_rng(20)
     for _ in range(20):
@@ -100,6 +105,18 @@ def test_varmp_invalid_on_zero_variance():
     assert not varmp_from_block_variance(0.0, 100).valid
 
 
+def test_varmp_invalid_on_growth_exponent_at_least_three():
+    result = varmp_from_block_variance(125.0 ** 3.5, 125)
+    assert not result.valid
+    assert result.reason == "variance growth exponent 3.5 >= 3"
+
+
+def test_varmp_block_exponent_must_lie_in_the_unit_interval():
+    for theta in (0.0, 1.0):
+        with pytest.raises(ValueError, match="block exponent"):
+            estimate(np.ones(10_000), "varmp", block_exponent=theta)
+
+
 def test_vpmp_planted_variances():
     sizes = np.array([10.0, 25.0, 60.0, 150.0, 400.0])
     d = 0.375
@@ -122,6 +139,30 @@ def test_wmp_planted_ladder():
     result = wmp_from_ladder(WaveletLadder(levels, values, 12))
     assert result.valid
     assert_allclose(result.s_hat, 1.0 / (2.0 * (1.0 - d)), atol=1e-9)
+
+
+def test_memory_within_rounding_of_one_is_invalid():
+    # wmp and vpmp divide by 1 - d: a d that is 1 up to rounding leaves only
+    # rounding in the denominator, while d = 1 - 1e-9 is still an estimate
+    levels = np.arange(4, 12)
+    sizes = np.array([10.0, 20.0, 40.0, 80.0])
+    for d, valid in ((1.0 - 1e-9, True), (1.0, False)):
+        ladder = WaveletLadder(levels, np.exp(0.7 + d * np.log(2.0 ** (-2.0 * levels))), 12)
+        for result in (wmp_from_ladder(ladder), vpmp_from_variances(sizes, sizes ** (2 * d - 1))):
+            assert result.valid is valid, (result.method, d)
+            if valid:
+                assert_allclose(result.s_hat, 0.5e9, rtol=1e-6)
+    # the pinned property-test row: a Haar ladder of exactly [32, 8] has
+    # d = 1 up to rounding (1 - d = 2.2e-16), in the batch and alone
+    x = (np.random.default_rng(2).random((2, 66)) < 0.4453125).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        batch = estimate_batch(x, "wmp-haar")
+        single = estimate(x[1], "wmp-haar")
+    for result in (batch.result(1), single):
+        assert not result.valid and np.isnan(result.s_hat)
+        assert 0.0 < 1.0 - result.diagnostics["memory_d"] <= 64 * np.finfo(float).eps
+    assert batch.result(0).valid
 
 
 def test_wmp_closed_form_equals_two_step_regression():

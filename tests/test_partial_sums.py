@@ -132,6 +132,14 @@ def test_scaling_exponent_validation():
         scaling_exponent(gen, 0.8, [64, 64, 128, 256], 100, seed=0)
 
 
+def test_scaling_exponent_rejects_a_constant_generator():
+    def constant(s, lengths, seeds):
+        return np.asarray(lengths, dtype=float)  # every row all ones
+
+    with pytest.raises(ValueError, match="variance vanished"):
+        scaling_exponent(constant, 0.8, [64, 128, 256, 512], 50, seed=0)
+
+
 def test_scaling_exponent_reproducible():
     gen = bernoulli_generator(0.5)
     grid = [64, 128, 256, 512]

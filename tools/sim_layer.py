@@ -9,10 +9,9 @@ Each (model, s, width) unit times ``simulate_{mp,lbp,markov}_batch`` on
 and markov models at gamma = 1 + 1/s), and divides by width * N.  The
 ``appendixb`` unit times the partial-sum path of ``mplm appendixb``,
 ``mp_partial_sums`` on ``width`` seeds whose lengths cycle through N, N/2,
-N/4 and N/8, and divides by the sum of the lengths; a tree without
-``mp_partial_sums`` runs one ``simulate_mp_batch`` per length and sums its
-rows, as ``scaling_exponent`` did before it.  The program is imported from
-the ``src/`` next to this script.
+N/4 and N/8, and divides by the sum of the lengths.  The program is
+imported from the ``src/`` next to this script; a ``--parent`` REV must
+have ``mp_partial_sums``.
 
 With ``--parent REV`` the ``src/mplm`` of ``git archive REV`` is loaded
 into the same process as the package ``mplm_parent``; each unit then runs
@@ -76,13 +75,7 @@ def simulate(module, model: str, s: float, n: int, seeds) -> float:
     """Seconds of one batch simulation by ``module`` (a ``dynamics``)."""
     start = time.perf_counter()
     if model == "appendixb":
-        lengths = grid_lengths(n, len(seeds))
-        if hasattr(module, "mp_partial_sums"):
-            module.mp_partial_sums(s, lengths, seeds, burn_in=0)
-        else:
-            for length in set(lengths):
-                rows = [seed for seed, k in zip(seeds, lengths) if k == length]
-                module.simulate_mp_batch(s, length, rows, burn_in=0).sum(axis=1)
+        module.mp_partial_sums(s, grid_lengths(n, len(seeds)), seeds, burn_in=0)
     elif model == "mp":
         module.simulate_mp_batch(s, n, seeds, burn_in=0)
     elif model == "lbp":
