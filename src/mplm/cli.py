@@ -64,15 +64,23 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+class _BadValue(argparse.ArgumentTypeError, ValueError):
+    """A bad flag value: argparse reports its message, and ``main`` exits 1 on it."""
+
+
 def _parse_interval(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected lo,hi, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = (float(p) for p in text.split(","))
+    except ValueError:
+        raise _BadValue(f"expected lo,hi, got {text!r}") from None
+    return lo, hi
 
 
 def _parse_grid(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+    try:
+        return [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise _BadValue(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _utc_now() -> str:

@@ -22,15 +22,16 @@ go through the memory parameter ``d = 1 - 1/(2s)``.  Estimators never raise
 on pathological draws: they return a flagged invalid result that Monte Carlo
 harnesses count and exclude.
 
-Every method runs on the rows of a (rows, N) array.  ``estimate_batch``
-looks the method up in ``_METHODS``: a statistic over the rows (spectral
-bands from ``spectral``, block variances here, the variance ladder from
-``wavelet``) followed by its closed-form inversion, vectorised over the
-rows.  It returns a ``BatchEstimate`` of per-row arrays.  ``estimate`` is
-row 0 of a one-row batch, and the scalar inversions
-(``s_from_spectral_ordinates`` ... ``holder_from_ordinates``) are views of
-the same path.  ``estimate(x, name, **config)`` is the one entry point for a
-single series: a method's keyword arguments are listed in ``_METHODS``.
+Every method runs on the rows of a (rows, N) array.  ``_METHODS`` gives
+each a statistic of the rows (spectral bands from ``spectral``, block
+variances here, the variance ladder from ``wavelet``) and the closed-form
+inversion of its per-row arrays to s.  ``estimate_batch`` runs the statistic
+on chunks of rows, joins the arrays and inverts them once, into a
+``BatchEstimate`` of per-row arrays.  ``estimate`` is row 0 of a one-row
+batch, and the scalar inversions (``s_from_spectral_ordinates`` ...
+``holder_from_ordinates``) are views of the same inversions.
+``estimate(x, name, **config)`` is the one entry point for a single series:
+a method's keyword arguments are listed in ``_METHODS``.
 """
 
 from __future__ import annotations
@@ -134,20 +135,6 @@ class BatchEstimate:
                               None if math.isnan(slope) else slope, int(self.points_used[i]),
                               diagnostics, bool(self.valid[i]), self.reason[i])
 
-    @classmethod
-    def concatenate(cls, parts) -> BatchEstimate:
-        """The rows of ``parts`` (batches of one method and configuration) in order."""
-        def join(arrays):
-            return np.concatenate(list(arrays))
-
-        first = parts[0]
-        return cls(first.method, join(p.s_hat for p in parts), join(p.valid for p in parts),
-                   join(p.slope for p in parts), join(p.points_used for p in parts),
-                   [reason for p in parts for reason in p.reason],
-                   {name: join(p.diagnostics[name] for p in parts) for name in first.diagnostics},
-                   first.shared,
-                   {name: join(p.omitted[name] for p in parts) for name in first.omitted})
-
     def invalidate(self, rows: np.ndarray, reason: str) -> None:
         """Mark the masked rows invalid, with no slope, points or diagnostics."""
         self.s_hat[rows] = np.nan
@@ -167,13 +154,14 @@ def _finish(method: str, s_hat, slope, points_used: int, invalid, reason_of,
 
     ``s_hat`` is NaN on the rows that ``invalid`` marks (an inversion divides
     by NaN there, which needs no warning filter), and ``reason_of(i)`` gives
-    the message of such a row i.
+    the message of such a row i.  ``slope`` is copied: ``invalidate`` writes
+    NaN into it, which must not reach a diagnostic that is the same array.
     """
     reason = [None] * s_hat.size
     if np.count_nonzero(invalid):
         for i in np.flatnonzero(invalid):
             reason[i] = reason_of(i)
-    return BatchEstimate(method, s_hat, ~invalid, np.asarray(slope, dtype=np.float64),
+    return BatchEstimate(method, s_hat, ~invalid, np.array(slope, dtype=np.float64),
                          np.full(s_hat.size, points_used), reason, diagnostics, shared or {},
                          omitted or {})
 
@@ -234,8 +222,10 @@ def _r_squared(design, ys, slope) -> np.ndarray:
 
 
 def _safe_log(values: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    # logs, and the count per row of values below the floor
-    return np.log(np.maximum(values, floor)), (values < floor).sum(axis=-1)
+    # logs, C-ordered so that each row's products and sums take one route
+    # whatever the batch (band periodogram rows are strided), and the count
+    # per row of values below the floor
+    return np.log(np.maximum(np.ascontiguousarray(values), floor)), (values < floor).sum(axis=-1)
 
 
 @lru_cache(maxsize=16)
@@ -246,7 +236,7 @@ def _band_design(g: int) -> tuple[np.ndarray, float, float]:
     return design
 
 
-def _spectral_inversion(ordinates: np.ndarray, method: str) -> BatchEstimate:
+def _spectral_inversion(ordinates: np.ndarray, method: str, **shared) -> BatchEstimate:
     """Slope of log-ordinates on log-index over each row's band, inverted to s."""
     g = ordinates.shape[1]
     logs, clamped = _safe_log(ordinates, ORDINATE_FLOOR)
@@ -260,7 +250,7 @@ def _spectral_inversion(ordinates: np.ndarray, method: str) -> BatchEstimate:
     invalid = slope <= -2.0
     return _finish(method, 1.0 / np.where(invalid, np.nan, slope + 2.0), slope, g, invalid,
                    lambda i: f"regression slope {slope[i]:.6g} <= -2 cannot be inverted",
-                   diagnostics)
+                   diagnostics, shared)
 
 
 def s_from_spectral_ordinates(ordinates: np.ndarray, method: str = "perio") -> EstimateResult:
@@ -278,32 +268,27 @@ def _check_band_length(n: int) -> None:
         raise ValueError(f"need at least 16 observations, got {n}")
 
 
-def _band_rows(x: np.ndarray, method: str, band: RegressionBand = RegressionBand(0.5),
-               window: str | None = None, truncation: int | None = None) -> BatchEstimate:
-    # log-regression over the band of the centred periodogram (window None)
-    # or of a lag-window spectrum; default truncation floor(N**0.9) for
-    # parzen and floor(N**(1 - alpha)) for the cosine bell, whose kernel then
-    # spans about as many Fourier bins as the band holds, the pairing that
-    # keeps the band-wide regression stable
-    rows, n = x.shape
+def _band_statistic(x: np.ndarray, band: RegressionBand = RegressionBand(0.5),
+                    window: str | None = None, truncation: int | None = None):
+    # the band of the centred periodogram (window None) or of a lag-window
+    # spectrum; default truncation floor(N**0.9) for parzen, floor(N**(1 - alpha))
+    # for the cosine bell, whose kernel then spans about as many Fourier bins
+    # as the band holds: the pairing that keeps the band-wide regression stable
+    n = x.shape[1]
     _check_band_length(n)
     g = band.size(n)
     if window is None:
-        ordinates = periodogram_band(x, np.arange(1, g + 1))
-    else:
-        if truncation is None:
-            truncation = (default_truncation(n) if window == "parzen" else
-                          max(2, int(math.floor(n ** (1.0 - band.alpha) + 1e-9))))
-        ordinates = lag_window_band(x, LagWindowSpec(window, truncation), g)
-    out = _spectral_inversion(ordinates, method)
-    out.shared["band_alpha"] = band.alpha
-    if window is not None:
-        out.shared["truncation"] = truncation
-    return out
+        return (periodogram_band(x, np.arange(1, g + 1)),), {"band_alpha": band.alpha}
+    if truncation is None:
+        truncation = (default_truncation(n) if window == "parzen" else
+                      max(2, int(math.floor(n ** (1.0 - band.alpha) + 1e-9))))
+    return ((lag_window_band(x, LagWindowSpec(window, truncation), g),),
+            {"band_alpha": band.alpha, "truncation": truncation})
 
 
-def _varmp_inversion(vhat: np.ndarray, block_length: int, method: str) -> BatchEstimate:
-    """Invert the block-sum variance law Var ~ L**(3 - 1/s) on each row."""
+def _varmp_inversion(vhat: np.ndarray, method: str, block_length: int,
+                     blocks: int | None = None) -> BatchEstimate:
+    """Invert Var ~ L**(3 - 1/s) on each row; the variances are of ``blocks`` block sums."""
     positive = np.isfinite(vhat) & (vhat > 0.0)
     growth = np.log(np.where(positive, vhat, 1.0)) / math.log(block_length)
     denom = 3.0 - growth
@@ -314,16 +299,17 @@ def _varmp_inversion(vhat: np.ndarray, block_length: int, method: str) -> BatchE
             return "block-sum variance is zero or undefined"
         return f"variance growth exponent {3.0 - denom[i]:.6g} >= 3"
 
+    shared = {"block_length": block_length, "blocks": blocks}
     return _finish(method, 1.0 / np.where(invalid, np.nan, denom),
-                   np.where(invalid, np.nan, growth), 1, invalid, reason_of,
-                   {"block_variance": vhat}, {"block_length": block_length},
+                   np.where(invalid, np.nan, growth), blocks or 1, invalid, reason_of,
+                   {"block_variance": vhat}, {k: v for k, v in shared.items() if v is not None},
                    {"block_length": invalid, "block_variance": invalid})
 
 
 def varmp_from_block_variance(vhat: float, block_length: int,
                               method: str = "varmp") -> EstimateResult:
     """Invert the block-sum variance law Var ~ L**(3 - 1/s)."""
-    return _varmp_inversion(np.array([vhat], dtype=np.float64), block_length, method).result(0)
+    return _varmp_inversion(np.array([vhat], dtype=np.float64), method, block_length).result(0)
 
 
 def _block_layout(n: int, block_exponent: float = 0.7) -> tuple[int, int]:
@@ -349,13 +335,10 @@ def _row_variances(v: np.ndarray) -> np.ndarray:
     return (dev * dev).sum(axis=1) / (v.shape[1] - 1)
 
 
-def _varmp_rows(x: np.ndarray, method: str, block_exponent: float = 0.7) -> BatchEstimate:
+def _block_variance(x: np.ndarray, block_exponent: float = 0.7):
     # variance of disjoint block sums at a single block length N**theta
     ell, blocks = _block_layout(x.shape[1], block_exponent)
-    out = _varmp_inversion(_row_variances(_block_sums(x, ell)), ell, method)
-    out.shared["blocks"] = blocks
-    out.points_used[:] = blocks
-    return out
+    return (_row_variances(_block_sums(x, ell)),), {"block_length": ell, "blocks": blocks}
 
 
 @lru_cache(maxsize=64)
@@ -372,7 +355,7 @@ def default_block_grid(n: int, sizes: int = 10) -> np.ndarray:
     return grid
 
 
-def _vpmp_inversion(sizes, variances: np.ndarray, method: str) -> BatchEstimate:
+def _vpmp_inversion(variances: np.ndarray, method: str, sizes, **shared) -> BatchEstimate:
     """Variance-plot inversion on each row: slope beta -> d = (beta+1)/2 -> s."""
     k = np.asarray(sizes, dtype=np.float64)
     degenerate = np.any((variances <= 0.0) | ~np.isfinite(variances), axis=1)
@@ -388,13 +371,13 @@ def _vpmp_inversion(sizes, variances: np.ndarray, method: str) -> BatchEstimate:
     invalid = degenerate | (1.0 - d <= _ROUNDING)
     return _finish(method, s_from_memory(np.where(invalid, np.nan, d)),
                    np.where(degenerate, np.nan, slope), k.size, invalid, reason_of,
-                   {"memory_d": d, "intercept": intercept},
-                   omitted={"memory_d": degenerate, "intercept": degenerate})
+                   {"memory_d": d, "intercept": intercept}, shared,
+                   {"memory_d": degenerate, "intercept": degenerate})
 
 
 def vpmp_from_variances(sizes, variances, method: str = "vpmp") -> EstimateResult:
     """Variance-plot inversion: slope beta -> d = (beta+1)/2 -> s."""
-    return _vpmp_inversion(sizes, np.asarray(variances, dtype=np.float64)[None], method).result(0)
+    return _vpmp_inversion(np.asarray(variances, dtype=np.float64)[None], method, sizes).result(0)
 
 
 def _block_grid(n: int, block_sizes=None) -> np.ndarray:
@@ -406,18 +389,16 @@ def _block_grid(n: int, block_sizes=None) -> np.ndarray:
     return grid
 
 
-def _vpmp_rows(x: np.ndarray, method: str, block_sizes=None) -> BatchEstimate:
-    # variance plot over a geometric grid of block lengths
+def _variance_plot(x: np.ndarray, block_sizes=None):
+    # block-mean variances over a geometric grid of block lengths
     grid = _block_grid(x.shape[1], block_sizes)
     variances = np.empty((x.shape[0], grid.size))
     for i, k in enumerate(grid.tolist()):
         variances[:, i] = _row_variances(_block_sums(x, k) / k)
-    out = _vpmp_inversion(grid, variances, method)
-    out.shared["block_grid"] = grid
-    return out
+    return (variances,), {"sizes": grid, "block_grid": grid}
 
 
-def _wmp_inversion(levels: np.ndarray, values: np.ndarray, method: str) -> BatchEstimate:
+def _wmp_inversion(values: np.ndarray, method: str, levels: np.ndarray) -> BatchEstimate:
     """Closed-form wavelet estimate from each row of variance-ladder values.
 
     With x_j the centered values of log(2**(-2j)) over the ladder levels,
@@ -437,12 +418,12 @@ def _wmp_inversion(levels: np.ndarray, values: np.ndarray, method: str) -> Batch
 
 def wmp_from_ladder(ladder: WaveletLadder, method: str = "wmp-haar") -> EstimateResult:
     """Closed-form wavelet estimate from a variance ladder (see ``_wmp_inversion``)."""
-    return _wmp_inversion(ladder.levels, np.asarray(ladder.values)[None], method).result(0)
+    return _wmp_inversion(np.asarray(ladder.values)[None], method, ladder.levels).result(0)
 
 
-def _wmp_rows(x: np.ndarray, method: str, basis: WaveletBasis) -> BatchEstimate:
+def _ladder(x: np.ndarray, basis: WaveletBasis):
     levels, values = ladder_rows(x, basis)
-    return _wmp_inversion(levels, values, method)
+    return (values,), {"levels": levels}
 
 
 def _holder_exponents(gaps: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -465,13 +446,11 @@ def _holder_indices(n: int, freq_index: int = 1, average_count: int | None = Non
     return np.array([freq_index]) if average_count is None else np.arange(1, average_count + 1)
 
 
-def _holder_rows(x: np.ndarray, method: str, smoothing: str, freq_index: int = 1,
-                 average_count: int | None = None) -> BatchEstimate:
-    # the gap |f(0) - f(w_j)| at the single index freq_index, or averaged
-    # over j = 1..average_count; the statistics centre the rows themselves:
-    # the raw periodogram then vanishes at frequency 0 and is its own gap,
-    # while the Parzen spectrum gives its gap to frequency 0 directly.  An
-    # invalid row keeps the mean exponent in ``slope`` unless a gap vanished
+def _holder_statistic(x, smoothing: str, freq_index: int = 1, average_count: int | None = None):
+    # the gap |f(0) - f(w_j)| at the single index freq_index, or at each of
+    # j = 1..average_count; the statistics centre the rows themselves: the
+    # raw periodogram then vanishes at frequency 0 and is its own gap, while
+    # the Parzen spectrum gives its gap to frequency 0 directly
     rows, n = x.shape
     indices = _holder_indices(n, freq_index, average_count)
     if smoothing == "none":
@@ -479,7 +458,13 @@ def _holder_rows(x: np.ndarray, method: str, smoothing: str, freq_index: int = 1
     else:
         origin, gaps = lag_window_gaps(x, LagWindowSpec("parzen", default_truncation(n)),
                                        indices)
-    exponents = _holder_exponents(gaps, 2.0 * np.pi * indices / n)
+    return (origin, gaps), {"indices": indices, "freqs": 2.0 * np.pi * indices / n}
+
+
+def _holder_inversion(origin: np.ndarray, gaps: np.ndarray, method: str, indices: np.ndarray,
+                      freqs: np.ndarray) -> BatchEstimate:
+    """Mean over j of 1 / (a_j + 2) on each row, a_j the exponent of its j-th gap."""
+    exponents = _holder_exponents(gaps, freqs)
     shifted = exponents + 2.0
     bad = ~(shifted > 0.0)  # a <= -2, or no exponent where the gap vanished
     invalid = bad.any(axis=1)
@@ -490,12 +475,11 @@ def _holder_rows(x: np.ndarray, method: str, smoothing: str, freq_index: int = 1
             return f"spectrum gap vanishes at index {indices[first]}"
         return f"regularity exponent {exponents[i, first]:.6g} <= -2"
 
-    # s_hat is the mean over j of 1 / (a_j + 2), the slope the mean a_j
+    # the slope is the mean a_j, which an invalid row keeps unless a gap vanished
     count = indices.size
     estimates = 1.0 / np.where(bad, np.nan, shifted)
     return _finish(method, estimates.sum(axis=1) / count, exponents.sum(axis=1) / count, count,
-                   invalid, reason_of,
-                   {"origin_ordinate": origin}, {"freq_indices": indices},
+                   invalid, reason_of, {"origin_ordinate": origin}, {"freq_indices": indices},
                    {"origin_ordinate": invalid, "freq_indices": invalid})
 
 
@@ -505,24 +489,30 @@ def _check_ladder_length(n: int) -> None:
         raise ValueError(f"need a series of at least 64 samples, got {n}")
 
 
-# method name -> (statistic over rows with its inversion, the fixed arguments
-# that make it that method, the keyword arguments ``estimate_batch`` passes
-# through, the check that its default configuration can take a length-N
-# series)
+# method name -> (statistic, inversion, the fixed arguments that make the
+# statistic that method, the keywords ``estimate_batch`` passes through to
+# it, the check that its default configuration takes a length-N series).
+# The statistic returns a tuple of per-row arrays and the inversion's keyword
+# arguments, which depend on N and the configuration alone.
+_BAND, _SPECTRAL = _band_statistic, _spectral_inversion
 _METHODS = {
-    "perio": (_band_rows, {}, ("band",), _check_band_length),
-    "parzen": (_band_rows, {"window": "parzen"}, ("band", "truncation"), _check_band_length),
-    "cos1": (_band_rows, {"band": RegressionBand(0.5), "window": "cosbell"}, ("truncation",),
-             _check_band_length),
-    "cos2": (_band_rows, {"band": RegressionBand(0.7), "window": "cosbell"}, ("truncation",),
-             _check_band_length),
-    "varmp": (_varmp_rows, {}, ("block_exponent",), _block_layout),
-    "vpmp": (_vpmp_rows, {}, ("block_sizes",), _block_grid),
-    "wmp-haar": (_wmp_rows, {"basis": WaveletBasis.HAAR}, (), _check_ladder_length),
-    "wmp-mexhat": (_wmp_rows, {"basis": WaveletBasis.MEXICAN_HAT}, (), _check_ladder_length),
-    "p": (_holder_rows, {"smoothing": "none"}, ("freq_index", "average_count"), _holder_indices),
-    "sp": (_holder_rows, {"smoothing": "parzen"}, ("freq_index", "average_count"),
-           _holder_indices),
+    "perio": (_BAND, _SPECTRAL, {}, ("band",), _check_band_length),
+    "parzen": (_BAND, _SPECTRAL, {"window": "parzen"}, ("band", "truncation"),
+               _check_band_length),
+    "cos1": (_BAND, _SPECTRAL, {"band": RegressionBand(0.5), "window": "cosbell"},
+             ("truncation",), _check_band_length),
+    "cos2": (_BAND, _SPECTRAL, {"band": RegressionBand(0.7), "window": "cosbell"},
+             ("truncation",), _check_band_length),
+    "varmp": (_block_variance, _varmp_inversion, {}, ("block_exponent",), _block_layout),
+    "vpmp": (_variance_plot, _vpmp_inversion, {}, ("block_sizes",), _block_grid),
+    "wmp-haar": (_ladder, _wmp_inversion, {"basis": WaveletBasis.HAAR}, (),
+                 _check_ladder_length),
+    "wmp-mexhat": (_ladder, _wmp_inversion, {"basis": WaveletBasis.MEXICAN_HAT}, (),
+                   _check_ladder_length),
+    "p": (_holder_statistic, _holder_inversion, {"smoothing": "none"},
+          ("freq_index", "average_count"), _holder_indices),
+    "sp": (_holder_statistic, _holder_inversion, {"smoothing": "parzen"},
+           ("freq_index", "average_count"), _holder_indices),
 }
 METHOD_NAMES = tuple(_METHODS)
 
@@ -535,7 +525,7 @@ def check_length(method: str, n: int) -> None:
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-    _METHODS[method][3](n)
+    _METHODS[method][4](n)
 
 
 def estimate_batch(rows, method: str, **config) -> BatchEstimate:
@@ -546,12 +536,13 @@ def estimate_batch(rows, method: str, **config) -> BatchEstimate:
     Row i equals ``estimate(rows[i], method, **config)`` within 1e-12
     (relative above 1, absolute below), with the same ``valid``,
     ``points_used`` and ``reason``.  Config keys, errors and non-finite rows
-    behave as in ``estimate``.  Rows are processed in chunks of at most
-    ``CHUNK_VALUES`` samples, which bounds the memory a batch needs.
+    behave as in ``estimate``.  The statistic runs on chunks of at most
+    ``CHUNK_VALUES`` samples, which bounds the memory a batch needs, and the
+    batch is inverted once.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-    statistic, fixed, keys, _ = _METHODS[method]
+    statistic, inversion, fixed, keys, _ = _METHODS[method]
     for key in config:
         if key not in keys:
             raise TypeError(f"method {method!r} got an unexpected keyword argument {key!r}")
@@ -565,9 +556,9 @@ def estimate_batch(rows, method: str, **config) -> BatchEstimate:
     if finite_rows < finite.size:
         x = np.where(finite[:, None], x, 0.0)
     step = max(1, CHUNK_VALUES // x.shape[1])
-    parts = [statistic(x[i:i + step], method, **fixed, **config)
-             for i in range(0, len(x), step)]
-    out = parts[0] if len(parts) == 1 else BatchEstimate.concatenate(parts)
+    parts = [statistic(x[i:i + step], **fixed, **config) for i in range(0, len(x), step)]
+    arrays = parts[0][0] if len(parts) == 1 else map(np.concatenate, zip(*(v for v, _ in parts)))
+    out = inversion(*arrays, method, **parts[0][1])
     if finite_rows < finite.size:
         out.invalidate(~finite, NON_FINITE)
     return out

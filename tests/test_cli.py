@@ -383,6 +383,32 @@ def test_interval_needs_two_values(capsys):
     assert "--interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,env,reason", [
+    (["simulate", "--s", "0.8", "--n", "8", "--interval", "0.1"], {},
+     "argument --interval: expected lo,hi, got '0.1'"),
+    (["simulate", "--s", "0.8", "--n", "8", "--interval", "0.1,x"], {},
+     "argument --interval: expected lo,hi, got '0.1,x'"),
+    (["simulate", "--s", "0.8", "--n", "8"], {"MPLM_INTERVAL": "0.1,0.5,0.9"},
+     "argument --interval: expected lo,hi, got '0.1,0.5,0.9'"),
+    (["appendixb", "--s", "0.8", "--grid", "1,x"], {},
+     "argument --grid: expected comma-separated integers, got '1,x'"),
+], ids=["one-value", "not-a-number", "environment", "grid"])
+def test_bad_interval_and_grid_values_give_the_reason(argv, env, reason, monkeypatch, capsys):
+    # argparse reports the parser's message, not the name of a private parser
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert reason in err and "_parse_" not in err
+
+
+def test_spec_file_bad_interval_exits_one(tmp_path, capsys):
+    spec = tmp_path / "run.spec"
+    spec.write_text("s=0.8\nn=256\nmethods=perio\ninterval=0.1\n")
+    assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "mplm: expected lo,hi, got '0.1'\n"
+
+
 # ---------------------------------------------------------------------------
 # golden CLI runs, recorded before the parser took over the MPLM_ fallback;
 # the estimator-layer outputs (spectrum file, estimate report, Monte Carlo

@@ -17,6 +17,7 @@ from mplm._seeds import derive_seed
 from mplm.dynamics import simulate_mp, simulate_mp_batch
 from mplm.estimators import (
     METHOD_NAMES,
+    EstimateResult,
     RegressionBand,
     check_length,
     estimate,
@@ -191,6 +192,75 @@ def test_holder_exact_inversion():
 def test_holder_invalid_on_vanishing_gap():
     a, ok = holder_from_ordinates(0.25, 0.25, 0.01)
     assert not ok
+
+
+_J = np.arange(1, 17.0)
+_SIZES = np.array([8, 16, 32, 64])
+_LEVELS = np.arange(4, 9)
+
+# the whole result of each scalar inversion on planted inputs, valid and
+# invalid, recorded before the batch inversions were fed by chunked statistics
+SCALAR_VIEWS = {
+    "spectral": (lambda: s_from_spectral_ordinates(_J ** -0.75), EstimateResult(
+        "perio", 0.8, -0.7500000000000001, 16,
+        {"clamped_ordinates": 0, "r_squared": 1.0000000000000004,
+         "intercept": 2.220446049250313e-16})),
+    "spectral-clamped": (lambda: s_from_spectral_ordinates(
+        np.where(_J == 4.0, 0.0, _J ** -0.5), "cos1"), EstimateResult(
+        "cos1", 0.292160682464291, 1.422774041891225, 16,
+        {"clamped_ordinates": 1, "r_squared": 0.017868248201398658,
+         "intercept": -5.801292852677606})),
+    "spectral-invalid": (lambda: s_from_spectral_ordinates(_J ** -2.5), EstimateResult(
+        "perio", math.nan, -2.500000000000001, 16,
+        {"clamped_ordinates": 0, "r_squared": 1.0000000000000007,
+         "intercept": 8.881784197001252e-16},
+        False, "regression slope -2.5 <= -2 cannot be inverted")),
+    # one variance: points_used 1 and no "blocks" key, unlike estimate(x, "varmp")
+    "varmp": (lambda: varmp_from_block_variance(100.0 ** 1.75, 100), EstimateResult(
+        "varmp", 0.8, 1.75, 1, {"block_variance": 3162.2776601683795, "block_length": 100})),
+    "varmp-zero": (lambda: varmp_from_block_variance(0.0, 100), EstimateResult(
+        "varmp", math.nan, None, 1, {}, False, "block-sum variance is zero or undefined")),
+    "varmp-growth": (lambda: varmp_from_block_variance(125.0 ** 3.5, 125), EstimateResult(
+        "varmp", math.nan, None, 1, {}, False, "variance growth exponent 3.5 >= 3")),
+    "vpmp": (lambda: vpmp_from_variances(_SIZES, _SIZES ** -0.25), EstimateResult(
+        "vpmp", 0.7999999999999997, -0.2500000000000004, 4,
+        {"memory_d": 0.3749999999999998, "intercept": 9.992007221626409e-16})),
+    "vpmp-degenerate": (lambda: vpmp_from_variances(_SIZES, [1.0, 0.5, 0.0, 0.25]), EstimateResult(
+        "vpmp", math.nan, None, 4, {}, False, "degenerate block-mean variance")),
+    "vpmp-memory": (lambda: vpmp_from_variances(_SIZES, _SIZES ** 1.5), EstimateResult(
+        "vpmp", math.nan, 1.5000000000000027, 4,
+        {"memory_d": 1.2500000000000013, "intercept": -7.105427357601002e-15},
+        False, "memory parameter estimate 1.25 >= 1")),
+    "wmp": (lambda: wmp_from_ladder(WaveletLadder(_LEVELS, 2.0 ** (-0.5 * _LEVELS), 9)),
+            EstimateResult("wmp-haar", 0.6666666666666669, 0.25000000000000017, 5,
+                           {"floored_levels": 0, "memory_d": 0.25000000000000017,
+                            "levels": [4, 5, 6, 7, 8]})),
+    "wmp-floored": (lambda: wmp_from_ladder(
+        WaveletLadder(_LEVELS, np.array([1.0, 0.5, 0.0, 0.2, 0.1]), 9), "wmp-mexhat"),
+        EstimateResult("wmp-mexhat", 0.8309639976998875, 0.3982892142331045, 5,
+                       {"floored_levels": 1, "memory_d": 0.3982892142331045,
+                        "levels": [4, 5, 6, 7, 8]})),
+    "wmp-memory": (lambda: wmp_from_ladder(WaveletLadder(_LEVELS, 2.0 ** (-3.0 * _LEVELS), 9)),
+                   EstimateResult("wmp-haar", math.nan, 1.5000000000000013, 5,
+                                  {"floored_levels": 0, "memory_d": 1.5000000000000013,
+                                   "levels": [4, 5, 6, 7, 8]},
+                                  False, "memory parameter estimate 1.5 >= 1")),
+}
+
+
+@pytest.mark.parametrize("case", SCALAR_VIEWS)
+def test_scalar_inversions_keep_their_whole_result(case):
+    call, want = SCALAR_VIEWS[case]
+    got = call()
+    assert list(got.diagnostics) == list(want.diagnostics)
+    _same_result(got, want, case)
+
+
+def test_holder_view_keeps_its_exponent_and_flag():
+    a, ok = holder_from_ordinates(1.0, 0.5, 0.125)
+    assert ok is True and abs(a - 0.33333333333333337) <= 1e-12
+    a, ok = holder_from_ordinates(0.25, 0.25, 0.01)
+    assert ok is False and math.isnan(a)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +695,45 @@ def test_estimate_batch_matches_estimate_row_by_row(method, config, n, monkeypat
     assert singles[4].diagnostics == {} and singles[4].points_used == 0
     if method == "parzen":
         assert not singles[1].valid and singles[1].slope <= -2.0
+
+
+def _batch_bits(batch):
+    # every array of a batch as (dtype, shape, bytes), with its reasons and shared values
+    arrays = {"s_hat": batch.s_hat, "valid": batch.valid, "slope": batch.slope,
+              "points_used": batch.points_used,
+              **{f"diagnostics[{k}]": v for k, v in batch.diagnostics.items()},
+              **{f"omitted[{k}]": np.asarray(v) for k, v in batch.omitted.items()}}
+    return ({k: (v.dtype.str, v.shape, v.tobytes()) for k, v in arrays.items()},
+            batch.reason, {k: np.asarray(v).tolist() for k, v in batch.shared.items()})
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_batch_fields_do_not_depend_on_the_chunking(method, monkeypatch):
+    # a constant row, a NaN row and a step (a slope <= -2 for parzen) among
+    # mp rows; one row per chunk, three, or all seven in one chunk give the
+    # same bits in every field, the diagnostics that an invalid row omits too
+    n = 4096
+    rows = _mixed_rows(n)
+    bits = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for values in (n, 3 * n, 2**40):
+            monkeypatch.setattr(estimators, "CHUNK_VALUES", values)
+            bits.append(_batch_bits(estimate_batch(rows, method)))
+    assert bits[1] == bits[0] and bits[2] == bits[0]
+
+
+@pytest.mark.parametrize("method", ["perio", "parzen"])
+def test_strided_band_rows_take_the_single_row_route(method):
+    # the band periodogram of several rows comes back with strided rows; the
+    # regression still reads each row as estimate reads it (row 0's
+    # r_squared in this batch once differed from its own by 1.1e-12)
+    rows = simulate_mp_batch(1.1, 4096, [81158, 81159], burn_in=0)
+    batch = estimate_batch(rows, method)
+    for i, row in enumerate(rows):
+        got, want = batch.result(i), estimate(row, method)
+        assert (got.s_hat, got.slope, got.diagnostics) == (want.s_hat, want.slope,
+                                                            want.diagnostics), i
 
 
 def test_estimate_batch_spans_chunks_at_the_default_size():

@@ -51,8 +51,8 @@ RUNS = 5  # runs per unit on one tree; the best counts
 RUNS_PAIRED = 27  # runs per unit and tree with --parent; the medians count
 
 
-def load_parent(rev: str, dest: Path):
-    """The ``dynamics`` module of ``src/mplm`` at ``rev``, imported as ``mplm_parent``."""
+def load_parent(rev: str, dest: Path, module: str = "dynamics"):
+    """The ``module`` of ``src/mplm`` at ``rev``, whose package is imported as ``mplm_parent``."""
     archive = subprocess.run(["git", "archive", rev, "src/mplm"], cwd=ROOT, check=True,
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -63,7 +63,7 @@ def load_parent(rev: str, dest: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules["mplm_parent"] = package
     spec.loader.exec_module(package)
-    return importlib.import_module("mplm_parent.dynamics")
+    return importlib.import_module(f"mplm_parent.{module}")
 
 
 def grid_lengths(n: int, width: int) -> list[int]:
