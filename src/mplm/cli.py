@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import ObservableSpec, simulate_lbp, simulate_markov, simulate_mp
-from .estimators import METHOD_NAMES, estimate
+from .estimators import METHOD_KEYWORDS, METHOD_NAMES, estimate
 from .montecarlo import (
     DEFAULT_BASE_SEED,
     ExperimentSpec,
@@ -190,13 +190,11 @@ def _cmd_estimate(args):
     x = _read_series(args.infile)
     config = {key: getattr(args, key) for key in ("block_exponent", "freq_index")
               if getattr(args, key) is not None}
-    try:
-        result = estimate(x, args.method, **config)
-    except TypeError as exc:  # a keyword the method does not take
-        rejected = [f"--{key.replace('_', '-')}" for key in config if f"'{key}'" in str(exc)]
-        if not rejected:
-            raise
-        raise ValueError(f"method {args.method} does not take {', '.join(rejected)}") from exc
+    rejected = [f"--{key.replace('_', '-')}" for key in config
+                if key not in METHOD_KEYWORDS[args.method]]
+    if rejected:
+        raise ValueError(f"method {args.method} does not take {', '.join(rejected)}")
+    result = estimate(x, args.method, **config)
     doc = {
         "method": result.method,
         "s_hat": result.s_hat,

@@ -31,7 +31,7 @@ on chunks of rows, joins the arrays and inverts them once, into a
 batch, and the scalar inversions (``s_from_spectral_ordinates`` ...
 ``holder_from_ordinates``) are views of the same inversions.
 ``estimate(x, name, **config)`` is the one entry point for a single series:
-a method's keyword arguments are listed in ``_METHODS``.
+a method's keyword arguments are listed in ``METHOD_KEYWORDS``.
 """
 
 from __future__ import annotations
@@ -515,6 +515,7 @@ _METHODS = {
            ("freq_index", "average_count"), _holder_indices),
 }
 METHOD_NAMES = tuple(_METHODS)
+METHOD_KEYWORDS = {name: entry[3] for name, entry in _METHODS.items()}  # the keywords each takes
 
 
 def check_length(method: str, n: int) -> None:
@@ -542,9 +543,9 @@ def estimate_batch(rows, method: str, **config) -> BatchEstimate:
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-    statistic, inversion, fixed, keys, _ = _METHODS[method]
+    statistic, inversion, fixed, _, _ = _METHODS[method]
     for key in config:
-        if key not in keys:
+        if key not in METHOD_KEYWORDS[method]:
             raise TypeError(f"method {method!r} got an unexpected keyword argument {key!r}")
     # a row with a non-finite value is computed as zeros and then marked invalid
     x = series_rows(rows)

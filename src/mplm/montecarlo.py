@@ -24,6 +24,7 @@ import numpy as np
 
 from ._seeds import derive_seeds
 from .dynamics import (
+    MapKind,
     ObservableSpec,
     equivalent_gamma,
     simulate_lbp_batch,
@@ -40,7 +41,7 @@ from .estimators import estimate  # noqa: F401
 
 DEFAULT_BASE_SEED = 12345
 
-_MODELS = ("mp", "lbp", "markov")
+_MODELS = tuple(kind.value for kind in MapKind)
 
 
 @dataclass(frozen=True)

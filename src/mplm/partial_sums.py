@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import derive_seeds, stream_uniforms
-from .dynamics import ObservableSpec, lbp_partial_sums, mp_partial_sums
+from .dynamics import ObservableSpec, equivalent_gamma, lbp_partial_sums, mp_partial_sums
 # perfbench/tracer.py wraps partial_sums.simulate_mp_batch and perfbench/selfcheck.py
 # looks it up, so the name stays importable here; no generator calls it
 from .dynamics import simulate_mp_batch  # noqa: F401
@@ -61,7 +61,7 @@ def lbp_generator(observable: ObservableSpec = ObservableSpec(), burn_in: int = 
     """Partial-sum generator for the piecewise-linear map (parameter gamma = 1 + 1/s)."""
 
     def gen(s, lengths, seeds):
-        return lbp_partial_sums(1.0 + 1.0 / s, lengths, seeds, burn_in, observable)
+        return lbp_partial_sums(equivalent_gamma(s), lengths, seeds, burn_in, observable)
 
     return gen
 

@@ -44,8 +44,8 @@ RECORD_KEYS = ("passes", "cpu_steal_share", "loop_user_s", "loop_sys_s", "loop_m
                "src_digest", "tracer_missing", "python", "numpy", "nproc", "cpu_model")
 
 
-def checkout(rev: str | None, dest: Path) -> Path:
-    """Put ``PARTS`` of ``rev`` (of the working tree when None) into ``dest``."""
+def checkout(rev: str | None, dest: Path, parts=PARTS) -> Path:
+    """Put ``parts`` of ``rev`` into ``dest``; a None ``rev`` is the working tree's ``PARTS``."""
     dest.mkdir(parents=True)
     if rev is None:
         ignore = shutil.ignore_patterns("__pycache__", ".perfbench-*")
@@ -53,7 +53,7 @@ def checkout(rev: str | None, dest: Path) -> Path:
             shutil.copytree(ROOT / name, dest / name, ignore=ignore)
         shutil.copy2(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
     else:
-        archive = subprocess.run(["git", "archive", rev, *PARTS], cwd=ROOT, check=True,
+        archive = subprocess.run(["git", "archive", rev, *parts], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(dest, filter="data")
