@@ -13,6 +13,7 @@ uses LF line endings and up to 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -195,17 +196,8 @@ def _cmd_estimate(args):
     if rejected:
         raise ValueError(f"method {args.method} does not take {', '.join(rejected)}")
     result = estimate(x, args.method, **config)
-    doc = {
-        "method": result.method,
-        "s_hat": result.s_hat,
-        "slope": result.slope,
-        "points_used": result.points_used,
-        "valid": result.valid,
-        "reason": result.reason,
-        "diagnostics": result.diagnostics,
-    }
     if args.json:
-        print(json.dumps(doc, sort_keys=True, default=str))
+        print(json.dumps(dataclasses.asdict(result), sort_keys=True, default=str))
     else:
         tag = "" if result.valid else f"  INVALID ({result.reason})"
         print(f"{result.method}: s_hat={_fmt(result.s_hat)}{tag}")

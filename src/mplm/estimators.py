@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (LagWindowSpec, _centred, default_truncation, lag_window_band,
+from .spectral import (LagWindowSpec, _centred, _row_products, default_truncation, lag_window_band,
                        lag_window_gaps, periodogram_band, series_rows, series_values)
 # No estimator calls the full-grid spectra or sample_R any more.
 # perfbench/tracer.py and perfbench/selfcheck.py look these names up here,
@@ -51,6 +51,7 @@ from .spectral import (LagWindowSpec, _centred, default_truncation, lag_window_b
 # row statistics instead.
 from .spectral import periodogram, smoothed_periodogram  # noqa: F401
 from .wavelet import WaveletBasis, WaveletLadder, ladder_rows, sample_R  # noqa: F401
+from .wavelet import _require_ladder_length
 
 ORDINATE_FLOOR = 1e-15  # clamp for nonpositive ordinates ahead of logs
 LADDER_FLOOR = 1e-300
@@ -191,15 +192,12 @@ def _design(xs: np.ndarray) -> tuple[np.ndarray, float, float]:
 def _fit_rows(design, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares slope and intercept of each row of ys on the abscissae of ``design``.
 
-    One dot product per row, as in ``spectral._row_products``: a product
-    over many rows at once may sum in another order than a single row's,
-    and a near-zero slope (a flat spectrum) carries that rounding into its
-    r_squared, so each row gets the same values whatever batch it is in.
+    The slope takes one product per row (see ``spectral._row_products``).
     """
     xc, xbar, sxx = design
     if ys.shape[1] != xc.size:
         raise ValueError("need two or more paired points")
-    slope = (ys[:, None, :] @ xc)[:, 0] / sxx
+    slope = _row_products(ys, xc[None])[:, 0] / sxx
     return slope, ys.sum(axis=1) / xc.size - slope * xbar
 
 
@@ -408,7 +406,7 @@ def _wmp_inversion(values: np.ndarray, method: str, levels: np.ndarray) -> Batch
     """
     xs, _, sxx = _design(-2.0 * levels.astype(np.float64) * math.log(2.0))
     logs, floored = _safe_log(values, LADDER_FLOOR)
-    sxy = (logs[:, None, :] @ xs)[:, 0]  # one product per row, as in ``_fit_rows``
+    sxy = _row_products(logs, xs[None])[:, 0]
     d = sxy / sxx
     invalid = 1.0 - d <= _ROUNDING
     return _finish(method, sxx / np.where(invalid, np.nan, 2.0 * (sxx - sxy)), d, levels.size,
@@ -483,12 +481,6 @@ def _holder_inversion(origin: np.ndarray, gaps: np.ndarray, method: str, indices
                    {"origin_ordinate": invalid, "freq_indices": invalid})
 
 
-def _check_ladder_length(n: int) -> None:
-    # ladder_rows' own requirement, two ladder levels, read off the length
-    if n < 64:
-        raise ValueError(f"need a series of at least 64 samples, got {n}")
-
-
 # method name -> (statistic, inversion, the fixed arguments that make the
 # statistic that method, the keywords ``estimate_batch`` passes through to
 # it, the check that its default configuration takes a length-N series).
@@ -506,9 +498,9 @@ _METHODS = {
     "varmp": (_block_variance, _varmp_inversion, {}, ("block_exponent",), _block_layout),
     "vpmp": (_variance_plot, _vpmp_inversion, {}, ("block_sizes",), _block_grid),
     "wmp-haar": (_ladder, _wmp_inversion, {"basis": WaveletBasis.HAAR}, (),
-                 _check_ladder_length),
+                 _require_ladder_length),
     "wmp-mexhat": (_ladder, _wmp_inversion, {"basis": WaveletBasis.MEXICAN_HAT}, (),
-                   _check_ladder_length),
+                   _require_ladder_length),
     "p": (_holder_statistic, _holder_inversion, {"smoothing": "none"},
           ("freq_index", "average_count"), _holder_indices),
     "sp": (_holder_statistic, _holder_inversion, {"smoothing": "parzen"},

@@ -24,12 +24,11 @@ from .dynamics import ObservableSpec, equivalent_gamma, lbp_partial_sums, mp_par
 # looks it up, so the name stays importable here; no generator calls it
 from .dynamics import simulate_mp_batch  # noqa: F401
 from .estimators import ols_slope
-from .spectral import AcvEstimate
 
 
 def var_partial_sum(acv, n: int) -> float:
     """Variance of the length-n partial sum from autocovariances 0..n-1."""
-    values = acv.values if isinstance(acv, AcvEstimate) else np.asarray(acv, dtype=np.float64)
+    values = np.asarray(getattr(acv, "values", acv), dtype=np.float64)
     if n < 1:
         raise ValueError(f"partial-sum length must be >= 1, got {n}")
     if values.size < n:

@@ -11,14 +11,14 @@ cosine-bell (Tukey-Hanning) lag window before the cosine sum; the cosine
 bell can produce negative ordinates, which downstream log-regressions clamp
 and count.
 
-``periodogram`` and ``smoothed_periodogram`` return the full grid of one
-series.  The estimators read only a band of it, and ``periodogram_band``,
-``lag_window_band`` and ``lag_window_gaps`` compute just that band for every
-row of a (rows, N) array at once, and return (rows, ...) arrays: a few
-ordinates from a product with a cached table of cosines and sines, a wider
-band from one real-input FFT per row sliced to it.  The gap between the
-smoothed spectrum at frequency 0 and at w_j is formed directly as
-(1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)), with c_k the weighted
+``periodogram_band``, ``lag_window_band`` and ``lag_window_gaps`` compute a
+band of the grid for every row of a (rows, N) array at once, and return
+(rows, ...) arrays: a few ordinates from a product with a cached table of
+cosines and sines, a wider band from one real-input FFT per row sliced to
+it.  ``periodogram`` is one series' band over h = 1..N-1 plus the h = N
+alias, and ``smoothed_periodogram`` the transform route over h = 1..N.  The
+gap between the smoothed spectrum at frequency 0 and at w_j is formed
+directly as (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)), with c_k the weighted
 autocovariances and 1 - cos(w_j k) = 2 sin(w_j k / 2)**2, so it keeps its
 relative precision where the two ordinates nearly agree.
 
@@ -132,15 +132,6 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def _on_grid(half: np.ndarray, n: int) -> np.ndarray:
-    """Mirror values at h = 0..n//2 (an rfft of real input) onto h = 1..n.
-
-    A real series' transform has f(n - h) = conj f(h), so a real function of
-    it takes the same value at h and n - h; h = n aliases h = 0.
-    """
-    return np.concatenate([half[1:], half[(n - 1) // 2:0:-1], half[:1]])
-
-
 def _power(re, im, n: int):
     """Periodogram ordinates |sum_t x_t exp(-i w t)|**2 / (4 pi^2 N) from a transform."""
     return (re**2 + im**2) / (4.0 * np.pi**2 * n)
@@ -225,19 +216,17 @@ def sample_acv(series, max_lag: int) -> AcvEstimate:
 def periodogram(series, centered: bool = False) -> Periodogram:
     """Raw periodogram on the full Fourier grid.
 
-    ``centered`` subtracts the sample mean first, which zeroes the aliased
-    frequency-0 ordinate and changes nothing else on the grid.
+    ``periodogram_band`` over h = 1..N-1, plus the h = N alias of frequency
+    0: |sum_t x_t|**2 / (4 pi^2 N), or 0 with ``centered``.  Subtracting the
+    sample mean changes the transform at h = 0 alone, so the band is the
+    same either way.
     """
     x = series_values(series)
     n = x.size
     if n < 2:
         raise ValueError("periodogram needs at least 2 observations")
-    if centered:
-        x = x - x.mean()
-    f = np.fft.rfft(x)
-    ordinates = _on_grid(_power(f.real, f.imag, n), n)
-    if centered:
-        ordinates[-1] = 0.0  # the transform of the centered series at h = 0 is rounding only
+    alias = 0.0 if centered else _power(x.sum(), 0.0, n)
+    ordinates = np.append(periodogram_band(x[None], np.arange(1, n))[0], alias)
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
     return Periodogram(freqs, ordinates, kind="raw")
 
@@ -284,7 +273,8 @@ def smoothed_periodogram(series, spec: LagWindowSpec) -> Periodogram:
     """
     x = series_values(series)
     n = x.size
-    ordinates = _on_grid(_lag_half(_weighted_acv(x[None], spec)[0], n), n)
+    h = np.arange(1, n + 1)  # h and n - h share an ordinate; h = n aliases h = 0
+    ordinates = _lag_half(_weighted_acv(x[None], spec), n)[0, np.minimum(h, n - h)]
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
     return Periodogram(freqs, ordinates, kind="smoothed", window=spec.kind, truncation=spec.m)
 
@@ -315,8 +305,8 @@ def _row_products(x: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     A product over many rows at once may sum in another order than a
     single row's does, and a band ordinate next to a zero of the spectrum
-    is sensitive to that; one product per row gives each row the same
-    values whatever batch it is in.
+    or a near-zero slope (with its r_squared) is sensitive to that; one
+    product per row gives each row the same values whatever batch it is in.
     """
     return (x[:, None, :] @ table.T)[:, 0, :]
 

@@ -72,6 +72,12 @@ def psi(basis: WaveletBasis, u):
     return out
 
 
+def _require_ladder_length(n: int) -> None:
+    """A ladder of two or more levels, j = 4 and 5, needs 2**6 samples."""
+    if n < 64:
+        raise ValueError(f"need a series of at least 64 samples, got {n}")
+
+
 def _pow2_rows(x: np.ndarray) -> tuple[np.ndarray, int]:
     """The rows cut to the largest power-of-two length 2**m, and m."""
     m = int(np.floor(np.log2(x.shape[1])))
@@ -185,9 +191,9 @@ def ladder_rows(rows, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
     Returns the levels and an array of shape (rows, levels).
     """
     basis = WaveletBasis(basis)
-    x, m = _pow2_rows(series_rows(rows))
-    if m < 6:
-        raise ValueError(f"need a series of at least 64 samples, got {x.shape[1]}")
+    x = series_rows(rows)
+    _require_ladder_length(x.shape[1])
+    x, m = _pow2_rows(x)
     levels = np.arange(4, m)
     x = _centred(x)
     values = np.empty((x.shape[0], levels.size))

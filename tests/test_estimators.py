@@ -456,24 +456,28 @@ def test_complement_invariance(s, n):
 
 def test_check_length_matches_the_estimators():
     # the length alone decides whether a method's default configuration
-    # raises, and check_length raises exactly then
+    # raises, and check_length raises exactly then, with the same message
+    # and no TruncationWarning before it
     rng = np.random.default_rng(24)
-    for n in (3, 4, 15, 16, 40, 63, 64, 200, 500, 999, 1000, 2000):
+    for n in (3, 4, 15, 16, 40, 50, 63, 64, 200, 500, 999, 1000, 2000):
         x = (rng.random(n) < 0.5).astype(float)
         for method in METHOD_NAMES:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", TruncationWarning)
+            raised = rejected = None
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", TruncationWarning)
+                try:
                     estimate(x, method)
-                raised = False
-            except ValueError:
-                raised = True
+                except ValueError as error:
+                    raised = str(error)
             try:
                 check_length(method, n)
-                rejected = False
-            except ValueError:
-                rejected = True
-            assert rejected == raised, (method, n)
+            except ValueError as error:
+                rejected = str(error)
+            assert (rejected is None) == (raised is None), (method, n)
+            if raised is not None:
+                assert raised == rejected, (method, n)
+                assert not any(issubclass(w.category, TruncationWarning) for w in caught), \
+                    (method, n)
     with pytest.raises(ValueError, match="8 disjoint blocks"):
         check_length("varmp", 500)
     with pytest.raises(ValueError, match="unknown method"):

@@ -20,8 +20,7 @@ from mplm.spectral import (
     sample_acv,
     smoothed_periodogram,
 )
-from mplm.spectral import (_acv_rows, _cosine_table, _dft_table, _half_angle_table, _lag_half,
-                           _on_grid)
+from mplm.spectral import _acv_rows, _cosine_table, _dft_table, _half_angle_table, _lag_half
 
 
 def direct_periodogram(x):
@@ -237,11 +236,14 @@ def test_periodogram_centering_changes_only_the_alias():
 
 def test_periodogram_grid():
     per = periodogram(np.zeros(8))
+    assert per.n == 8
     assert_allclose(per.freqs, 2.0 * np.pi * np.arange(1, 9) / 8.0)
     assert np.all(np.diff(per.freqs) > 0)
     assert per.freqs[-1] == 2.0 * np.pi
     with pytest.raises(ValueError):
         periodogram(np.array([1.0]))
+    with pytest.raises(ValueError, match="nonempty 1-d series"):
+        periodogram(np.zeros((2, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +293,9 @@ def test_unit_weights_recover_plain_lag_sum():
     n = 48
     x = random_binary(rng, n)
     acv = sample_acv(x, n - 1)
-    got = _on_grid(_lag_half(acv.values, n), n)
-    freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
+    h = np.arange(1, n + 1)
+    got = _lag_half(acv.values, n)[np.minimum(h, n - h)]  # h and n - h share an ordinate
+    freqs = 2.0 * np.pi * h / n
     lags = np.arange(1, n)
     ref = np.array([
         (acv.values[0] + 2.0 * np.sum(acv.values[1:] * np.cos(w * lags))) / (2.0 * np.pi)

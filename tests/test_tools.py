@@ -56,3 +56,24 @@ def test_layers_quick_against_a_parent(monkeypatch, capsys):
         for table in (name, f"parent_{name}"):
             check_table(line[table], QUICK_TABLES[name], lambda v: v > 0)
         check_table(line["ratio"], QUICK_TABLES[name], lambda v: math.isfinite(v) and v > 0)
+
+
+def test_stalls_compare_each_cell_with_its_methods_fastest_per_sample(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import layers
+
+    sizes, exponents = (10_000, 20_000, 30_000), ("0.6", "0.65")
+
+    def table(slow):
+        # ms per cell: per-sample costs that spread 4x within a method (a
+        # clean table51 run spreads 3x), times 300 where ``slow`` says so
+        return {m: {str(n): {s: round(1e-3 * n * (1 + i + j % 2) * (300 if slow(m, n) else 1), 3)
+                             for j, s in enumerate(exponents)}
+                    for i, n in enumerate(sizes)}
+                for m in PRESETS["table51"].methods}
+
+    assert layers.stalls(table(lambda m, n: False)) == []
+    # four of cos2's six cells: a median of the cells would be a slow one
+    flagged = layers.stalls(table(lambda m, n: m == "cos2" and n >= 20_000))
+    assert [line.split(":")[0] for line in flagged] == [
+        f"cos2 N={n} s={s}" for n in (20_000, 30_000) for s in ("0.6", "0.65")]

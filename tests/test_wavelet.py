@@ -89,6 +89,8 @@ def test_coefficients_level_bounds_and_count():
         wavelet_coefficients(x, "haar", 6)
     with pytest.raises(ValueError):
         wavelet_coefficients(x, "haar", -1)
+    with pytest.raises(ValueError, match="'fast' or 'direct'"):
+        wavelet_coefficients(x, "haar", 5, method="slow")
 
 
 def test_non_power_of_two_truncates_with_diagnostic():

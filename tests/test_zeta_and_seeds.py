@@ -23,6 +23,8 @@ def test_zeta_rejects_bad_exponent():
         zeta_value(1.0)
     with pytest.raises(ValueError):
         zeta_value(float("nan"))
+    with pytest.raises(ValueError, match="truncation point"):
+        tail_sum(2.0, -1)
 
 
 def test_partial_sums_cumulative():

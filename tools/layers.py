@@ -18,8 +18,9 @@ the parent).
   and a wider unit one ``estimate_batch`` call, as a Monte Carlo cell makes it.
 * ``cells``, ``ms_per_cell[method][N][s]``: the ``estimate_batch`` call of each
   ``table51`` cell at scale 0.25, in preset order, on the rows the cell
-  simulates; ``stalls`` lists the cells above ``STALL`` times their method's
-  median.  Run it in a fresh process: a stall of a first call is the target.
+  simulates; ``stalls`` lists the cells whose time per sample is above
+  ``STALL`` times their method's fastest.  Run it in a fresh process: a
+  stall of a first call is the target.
 
 With ``--parent REV`` the ``src/mplm`` of ``git archive REV`` is imported into
 this process as ``mplm_parent``, and each unit runs the two trees back to
@@ -135,11 +136,17 @@ def cell_units(trees, quick):
 
 
 def stalls(table) -> list[str]:
+    """The cells of ``ms_per_cell`` slower per sample than ``STALL`` times their method's fastest.
+
+    Every cell has the same rows, so ms / N ranks them per sample; a median
+    would hide a stall that hits half or more of a method's cells.
+    """
     out = []
     for method, by_n in table.items():
         cells = [(n, s, ms) for n, by_s in by_n.items() for s, ms in by_s.items()]
-        median = statistics.median(ms for _, _, ms in cells)
-        out += [f"{method} N={n} s={s}: {ms} ms" for n, s, ms in cells if ms > STALL * median]
+        fastest = min(ms / int(n) for n, _, ms in cells)
+        out += [f"{method} N={n} s={s}: {ms} ms" for n, s, ms in cells
+                if ms / int(n) > STALL * fastest]
     return out
 
 
