@@ -3,12 +3,9 @@ map exponent from spectral, variance-scaling, wavelet, and local-regularity
 statistics, with a reproducible Monte Carlo harness."""
 
 from .dynamics import (
-    BinarySeries,
     MapKind,
-    MapParams,
     ObservableSpec,
     StallWarning,
-    binary_from_states,
     equivalent_gamma,
     equivalent_s,
     lbp_step,

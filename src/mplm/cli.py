@@ -156,18 +156,16 @@ def _cmd_simulate(args):
     value = getattr(args, key)
     if value is None:
         raise ValueError(f"--{key} is required for the {args.model} model")
-    observable = ObservableSpec(*args.interval)
-    if args.model == "mp":
-        series = simulate_mp(value, args.n, args.seed, args.burn_in, observable)
-    elif args.model == "lbp":
-        series = simulate_lbp(value, args.n, args.seed, args.burn_in, observable)
-    else:
+    # the manifest records only the parameters the model takes
+    params = {"model": args.model, "n": args.n, "out": args.out, key: value}
+    if args.model == "markov":
         series = simulate_markov(value, args.n, args.seed)
+    else:
+        simulate = simulate_mp if args.model == "mp" else simulate_lbp
+        series = simulate(value, args.n, args.seed, args.burn_in, ObservableSpec(*args.interval))
+        params.update(burn_in=args.burn_in, interval=list(args.interval))
 
-    lines = ["t,x"] + [f"{t},{int(v)}" for t, v in enumerate(series.values)]
-    _write_lines(args.out, lines)
-    params = {"model": args.model, "n": args.n, "burn_in": args.burn_in,
-              "interval": list(args.interval), "out": args.out, key: value}
+    _write_lines(args.out, ["t,x"] + [f"{t},{int(v)}" for t, v in enumerate(series)])
     return _beside(args.out), params, args.seed, None
 
 

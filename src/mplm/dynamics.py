@@ -9,11 +9,12 @@ Three generators are provided:
 * a countdown Markov chain on the nonnegative integers whose excursion
   lengths have the same tail (``simulate_markov``).
 
-Each has a batch form that returns one (reps, n) row per seed, and the
-single-series function is row 0 of a one-seed batch.  The two maps also
-have a partial-sum form (``mp_partial_sums``, ``lbp_partial_sums``) that
-returns the sum of each row over its own length; it runs the same orbit
-loop over rows of every length at once and stores no series.
+Each has a batch form that returns one (reps, n) float64 row per seed, and
+the single-series function returns row 0 of a one-seed batch, an (n,)
+array.  The two maps also have a partial-sum form (``mp_partial_sums``,
+``lbp_partial_sums``) that returns the sum of each row over its own length;
+it runs the same orbit loop over rows of every length at once and stores no
+series.
 
 All three emit 0/1 observations: the maps through the indicator of an
 open subinterval of [0, 1], the chain through ``1 - indicator(state == 0)``.
@@ -101,41 +102,6 @@ def _require_unit(x: float) -> None:
 
 
 @dataclass(frozen=True)
-class MapParams:
-    """Which generator produced a series, and with what exponent.
-
-    Exactly one of ``s`` / ``gamma`` is set: ``s`` for the smooth map,
-    ``gamma`` for the piecewise-linear map and the chain.
-    """
-
-    kind: MapKind
-    s: float | None = None
-    gamma: float | None = None
-
-    def __post_init__(self):
-        if self.kind is MapKind.MANNEVILLE_POMEAU:
-            if self.s is None or self.gamma is not None:
-                raise ValueError("the smooth map takes s only")
-            _require_s(self.s)
-        else:
-            if self.gamma is None or self.s is not None:
-                raise ValueError(f"{self.kind.value} takes gamma only")
-            _require_gamma(self.gamma)
-
-    @classmethod
-    def mp(cls, s: float) -> "MapParams":
-        return cls(MapKind.MANNEVILLE_POMEAU, s=s)
-
-    @classmethod
-    def lbp(cls, gamma: float) -> "MapParams":
-        return cls(MapKind.LINEAR_BY_PART, gamma=gamma)
-
-    @classmethod
-    def markov(cls, gamma: float) -> "MapParams":
-        return cls(MapKind.MARKOV_CHAIN, gamma=gamma)
-
-
-@dataclass(frozen=True)
 class ObservableSpec:
     """Indicator of the open interval (lo, hi)."""
 
@@ -152,30 +118,6 @@ class ObservableSpec:
 
     def indicate(self, x: np.ndarray) -> np.ndarray:
         return ((x > self.lo) & (x < self.hi)).astype(np.float64)
-
-
-@dataclass(frozen=True, eq=False)
-class BinarySeries:
-    """A finite 0/1 realization plus the provenance needed to regenerate it."""
-
-    values: np.ndarray
-    params: MapParams
-    observable: ObservableSpec | None
-    seed: int
-    burn_in: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("series must be a nonempty 1-d array")
-        if not np.all((v == 0.0) | (v == 1.0)):
-            raise ValueError("series values must all be 0 or 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +277,16 @@ def mp_partial_sums(s: float, lengths, seeds, burn_in: int = 10_000,
 
 
 def simulate_mp(s: float, n: int, seed: int, burn_in: int = 10_000,
-                observable: ObservableSpec = ObservableSpec()) -> BinarySeries:
+                observable: ObservableSpec = ObservableSpec()) -> np.ndarray:
     """Iterate the smooth map from a uniform start and record the indicator.
 
     The start point is drawn uniformly on (0, 1) from the seeded stream,
     ``burn_in`` iterations are discarded, and the next ``n`` states are
     mapped through the observable.  Values s >= 1 are accepted (the orbit
     is still well defined even though no invariant probability exists).
+    Returns the (n,) float64 0/1 row 0 of the one-seed batch.
     """
-    values = simulate_mp_batch(s, n, [seed], burn_in, observable)[0]
-    return BinarySeries(values, MapParams.mp(s), observable, seed, burn_in)
+    return simulate_mp_batch(s, n, [seed], burn_in, observable)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +406,9 @@ def lbp_partial_sums(gamma: float, lengths, seeds, burn_in: int = 10_000,
 
 
 def simulate_lbp(gamma: float, n: int, seed: int, burn_in: int = 10_000,
-                 observable: ObservableSpec = ObservableSpec()) -> BinarySeries:
-    """Simulate the piecewise-linear map with the uniform-start protocol."""
-    values = simulate_lbp_batch(gamma, n, [seed], burn_in, observable)[0]
-    return BinarySeries(values, MapParams.lbp(gamma), observable, seed, burn_in)
+                 observable: ObservableSpec = ObservableSpec()) -> np.ndarray:
+    """Simulate the piecewise-linear map with the uniform-start protocol; an (n,) row."""
+    return simulate_lbp_batch(gamma, n, [seed], burn_in, observable)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +486,6 @@ def _stationary_tail_mass(gamma: float, k: int) -> float:
     return (tail_sum(gamma - 1.0, k + 1) - (k + 1) * tail_sum(gamma, k + 1)) / zeta_value(gamma - 1.0)
 
 
-def binary_from_states(states) -> np.ndarray:
-    """Path identification: 1 everywhere except at visits to state 0."""
-    z = np.asarray(states)
-    return (z != 0).astype(np.float64)
-
-
 def _chain_zeros(gamma: float, n: int, u: np.ndarray, last=None) -> np.ndarray:
     """Zero positions cumsum([first, m_1, m_2, ...]) of each row of draws u.
 
@@ -617,14 +552,14 @@ def simulate_markov_batch(gamma: float, n: int, seeds) -> np.ndarray:
     return out
 
 
-def simulate_markov(gamma: float, n: int, seed: int) -> BinarySeries:
+def simulate_markov(gamma: float, n: int, seed: int) -> np.ndarray:
     """Stationary countdown-chain path, reported as 0/1 observations.
 
     The initial state is drawn from the stationary law; afterwards the
     chain counts down deterministically and redraws a jump size whenever
     it hits 0.  The output is 0 exactly at the visits to state 0, so it
     consists of maximal 1-blocks separated by single zeros (with empty
-    blocks allowed when the chain jumps straight back to 0).
+    blocks allowed when the chain jumps straight back to 0).  Returns an
+    (n,) float64 row.
     """
-    values = simulate_markov_batch(gamma, n, [seed])[0]
-    return BinarySeries(values, MapParams.markov(gamma), None, seed, 0)
+    return simulate_markov_batch(gamma, n, [seed])[0]

@@ -26,6 +26,8 @@ from ._seeds import derive_seeds
 from .dynamics import (
     MapKind,
     ObservableSpec,
+    _require_gamma,
+    _require_s,
     equivalent_gamma,
     simulate_lbp_batch,
     simulate_markov_batch,
@@ -69,8 +71,17 @@ class ExperimentSpec:
             raise ValueError("s_values, n_values, and methods must all be nonempty")
         if min(self.n_values) < 1:
             raise ValueError(f"series lengths must be positive, got {list(self.n_values)}")
-        # every cell's length must pass its method's checks before anything
-        # is simulated, not when the grid reaches that cell
+        # every cell's exponent and length must pass the simulator's and the
+        # method's checks before anything is simulated, not when the grid
+        # reaches that cell
+        for s in self.s_values:
+            try:
+                if self.model == "mp":
+                    _require_s(s)
+                else:
+                    _require_gamma(equivalent_gamma(s))
+            except ValueError as exc:
+                raise ValueError(f"cell s={s}, model={self.model}: {exc}") from None
         for n in self.n_values:
             for method in self.methods:
                 try:

@@ -41,9 +41,8 @@ from numpy.lib.stride_tricks import as_strided
 
 
 def series_values(series) -> np.ndarray:
-    """Accept a BinarySeries or any 1-d array-like."""
-    values = getattr(series, "values", series)
-    x = np.asarray(values, dtype=np.float64)
+    """A 1-d array-like as a nonempty float64 array."""
+    x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("expected a nonempty 1-d series")
     return x
@@ -51,7 +50,7 @@ def series_values(series) -> np.ndarray:
 
 def series_rows(rows) -> np.ndarray:
     """A (rows, N) float array, with one 1-d series taken as a single row."""
-    x = np.asarray(getattr(rows, "values", rows), dtype=np.float64)
+    x = np.asarray(rows, dtype=np.float64)
     if x.ndim == 1:
         x = x[None]
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
@@ -84,9 +83,7 @@ class Periodogram:
 
     freqs: np.ndarray
     ordinates: np.ndarray
-    kind: str = "raw"  # "raw" or "smoothed"
-    window: str | None = None
-    truncation: int | None = None
+    truncation: int | None = None  # a smoothed spectrum's lag-window m
 
     @property
     def n(self) -> int:
@@ -228,7 +225,7 @@ def periodogram(series, centered: bool = False) -> Periodogram:
     alias = 0.0 if centered else _power(x.sum(), 0.0, n)
     ordinates = np.append(periodogram_band(x[None], np.arange(1, n))[0], alias)
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
-    return Periodogram(freqs, ordinates, kind="raw")
+    return Periodogram(freqs, ordinates)
 
 
 def lag_window_weight(spec: LagWindowSpec, x):
@@ -276,7 +273,7 @@ def smoothed_periodogram(series, spec: LagWindowSpec) -> Periodogram:
     h = np.arange(1, n + 1)  # h and n - h share an ordinate; h = n aliases h = 0
     ordinates = _lag_half(_weighted_acv(x[None], spec), n)[0, np.minimum(h, n - h)]
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
-    return Periodogram(freqs, ordinates, kind="smoothed", window=spec.kind, truncation=spec.m)
+    return Periodogram(freqs, ordinates, truncation=spec.m)
 
 
 # A band is read off a product with a cached trigonometric table while the

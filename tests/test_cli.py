@@ -64,9 +64,18 @@ def test_lbp_and_markov_models(tmp_path):
     for model in ("lbp", "markov"):
         out = tmp_path / f"{model}.csv"
         rc = run_cli(["simulate", "--model", model, "--gamma", "2.5", "--n", "64",
-                      "--seed", "5", "--burn-in", "10", "--out", str(out)])
+                      "--seed", "5", "--burn-in", "10", "--interval", "0.3,0.4",
+                      "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 65
+    # the chain starts from its stationary law and has no observable, so its
+    # manifest records neither a burn-in nor an interval
+    manifest = json.loads((tmp_path / "markov.csv.manifest.json").read_text())
+    assert manifest["parameters"] == {"gamma": 2.5, "model": "markov", "n": 64,
+                                      "out": str(tmp_path / "markov.csv")}
+    manifest = json.loads((tmp_path / "lbp.csv.manifest.json").read_text())
+    assert manifest["parameters"]["burn_in"] == 10
+    assert manifest["parameters"]["interval"] == [0.3, 0.4]
 
 
 def test_round_trip_simulate_estimate_spectrum(tmp_path, capsys):
@@ -157,6 +166,18 @@ def test_montecarlo_spec_file(tmp_path):
     bad_dir = tmp_path / "bad"
     assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(bad_dir)]) == 1
     assert not bad_dir.exists()
+
+
+@pytest.mark.parametrize("model, s", [("mp", "-0.5"), ("mp", "nan"), ("lbp", "0.8,1.0"),
+                                      ("markov", "1.5")])
+def test_montecarlo_spec_with_an_exponent_the_model_rejects_exits_one(tmp_path, capsys,
+                                                                     model, s):
+    spec = tmp_path / "run.spec"
+    spec.write_text(f"model={model}\ns={s}\nn=4096\nmethods=perio,cos1\nreplications=2\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+    assert f"cell s={s.split(',')[-1]}, model={model}: " in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_montecarlo_requires_exactly_one_source(tmp_path):

@@ -15,10 +15,7 @@ from mplm.dynamics import (
     StallWarning,
     _iterate_map,
     _lbp_tables,
-    BinarySeries,
-    MapParams,
     ObservableSpec,
-    binary_from_states,
     equivalent_gamma,
     equivalent_s,
     lbp_cell_bounds,
@@ -27,6 +24,7 @@ from mplm.dynamics import (
     mp_branch_point,
     mp_step,
     simulate_lbp,
+    simulate_lbp_batch,
     simulate_markov,
     simulate_markov_batch,
     simulate_mp,
@@ -113,29 +111,38 @@ def test_branch_point_against_brentq_oracle():
 def test_simulate_mp_deterministic():
     a = simulate_mp(0.8, 300, seed=11, burn_in=50)
     b = simulate_mp(0.8, 300, seed=11, burn_in=50)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = simulate_mp(0.8, 300, seed=12, burn_in=50)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
-def test_simulate_mp_batch_rows_match_single_runs():
+@pytest.mark.parametrize("batch, single, exponent, kwargs", [
+    (simulate_mp_batch, simulate_mp, 0.7, {"burn_in": 30}),
+    (simulate_lbp_batch, simulate_lbp, 2.25, {"burn_in": 30}),
+    (simulate_markov_batch, simulate_markov, 2.25, {}),
+], ids=["mp", "lbp", "markov"])
+def test_simulate_mp_batch_rows_match_single_runs(batch, single, exponent, kwargs):
+    # a single-series call is row 0 of its one-seed batch, a 1-d float64
+    # array, bit for bit; and row r of a wider batch is the run of seeds[r]
     seeds = [5, 6, 7]
-    rows = simulate_mp_batch(0.7, 200, seeds, burn_in=30)
+    rows = batch(exponent, 200, seeds, **kwargs)
     for seed, row in zip(seeds, rows):
-        single = simulate_mp(0.7, 200, seed, burn_in=30)
-        assert np.array_equal(row, single.values)
+        series = single(exponent, 200, seed, **kwargs)
+        assert type(series) is np.ndarray and series.dtype == np.float64
+        assert series.shape == (200,)
+        assert series.tobytes() == batch(exponent, 200, [seed], **kwargs)[0].tobytes()
+        assert np.array_equal(row, series)
 
 
 def test_simulate_mp_full_interval_gives_all_ones():
     series = simulate_mp(0.8, 64, seed=3, burn_in=5,
                          observable=ObservableSpec(0.0, 1.0))
-    assert np.all(series.values == 1.0)
+    assert np.all(series == 1.0)
 
 
 def test_simulate_mp_laminar_phases():
     # long runs of zeros and a mean strictly inside (0, 1)
-    series = simulate_mp(0.8, 10_000, seed=7)
-    values = series.values
+    values = simulate_mp(0.8, 10_000, seed=7)
     assert 0.0 < values.mean() < 1.0
     changes = np.flatnonzero(np.diff(values) != 0)
     run_lengths = np.diff(np.concatenate([[-1], changes, [values.size - 1]]))
@@ -150,7 +157,7 @@ def test_simulate_mp_rejects_empty():
 
 def test_simulate_mp_allows_s_above_one():
     series = simulate_mp(1.2, 256, seed=2, burn_in=10)
-    assert series.n == 256
+    assert series.size == 256
 
 
 def test_frozen_orbit_raises_stall_diagnostic():
@@ -276,20 +283,11 @@ def test_stall_window_is_each_rows_own():
     assert warnings_for([STALL_LIMIT + 500, STALL_LIMIT + 400, 50]) == 1
 
 
-def test_binary_series_validation():
-    with pytest.raises(ValueError):
-        BinarySeries(np.array([0.0, 0.5]), MapParams.mp(0.8), ObservableSpec(), 0, 0)
-    with pytest.raises(ValueError):
-        BinarySeries(np.array([]), MapParams.mp(0.8), ObservableSpec(), 0, 0)
-
-
 def test_map_params_validation():
-    with pytest.raises(ValueError):
-        MapParams.mp(-0.5)
-    with pytest.raises(ValueError):
-        MapParams.lbp(2.0)
-    with pytest.raises(ValueError):
-        MapParams(MapParams.mp(0.5).kind, s=0.5, gamma=3.0)
+    with pytest.raises(ValueError, match="positive finite"):
+        simulate_mp(-0.5, 8, seed=0)
+    with pytest.raises(ValueError, match="> 2"):
+        simulate_lbp(2.0, 8, seed=0)
     assert_allclose(equivalent_gamma(0.8), 2.25)
     assert_allclose(equivalent_s(2.25), 0.8)
     assert_allclose(equivalent_s(equivalent_gamma(0.61)), 0.61)
@@ -389,8 +387,8 @@ def test_lbp_step_rejects_outside_unit():
 def test_simulate_lbp_deterministic_binary():
     a = simulate_lbp(2.25, 400, seed=21, burn_in=100)
     b = simulate_lbp(2.25, 400, seed=21, burn_in=100)
-    assert np.array_equal(a.values, b.values)
-    assert set(np.unique(a.values)) <= {0.0, 1.0}
+    assert np.array_equal(a, b)
+    assert set(np.unique(a)) <= {0.0, 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +484,7 @@ def test_golden_simulations(key):
     if name.endswith("_batch"):
         values = simulator(exponent, n, seeds, **kwargs)
     else:
-        values = simulator(exponent, n, seeds[0], **kwargs).values
+        values = simulator(exponent, n, seeds[0], **kwargs)
     assert values.shape == ((rows, n) if name.endswith("_batch") else (n,))
     digest = hashlib.blake2b(values.tobytes(), digest_size=16).hexdigest()
     assert digest == GOLDEN_SIMULATIONS[key]
@@ -557,15 +555,9 @@ def test_markov_stationary_matches_truncated_eigenvector():
     assert_allclose(extrapolated, pis, atol=1e-7)
 
 
-def test_binary_from_states_example():
-    assert np.array_equal(binary_from_states([0, 3, 2, 1, 0]),
-                          np.array([0.0, 1.0, 1.0, 1.0, 0.0]))
-
-
 def test_markov_series_block_structure():
     # ones appear only in maximal blocks terminated by a single zero
-    series = simulate_markov(2.5, 5000, seed=4)
-    values = series.values
+    values = simulate_markov(2.5, 5000, seed=4)
     assert set(np.unique(values)) <= {0.0, 1.0}
     # every one-run is followed by a zero (chain counts down to 0)
     run_starts = np.flatnonzero(np.diff(np.concatenate([[0.0], values])) == 1.0)
@@ -583,7 +575,7 @@ def test_markov_zero_frequency_matches_stationary_law():
     freqs = []
     for r in range(24):
         y = simulate_markov(gamma, 4000, derive_seed(10, "mk", r))
-        freqs.append(1.0 - y.values.mean())
+        freqs.append(1.0 - y.mean())
     mean = np.mean(freqs)
     se = np.std(freqs, ddof=1) / np.sqrt(len(freqs))
     assert abs(mean - markov_stationary(gamma, 0)) < 3.0 * se
@@ -592,7 +584,7 @@ def test_markov_zero_frequency_matches_stationary_law():
 def test_markov_run_length_distribution():
     # lengths of one-blocks after a zero follow the jump law (n+1)**-g / zeta(g)
     gamma = 3.0
-    y = simulate_markov(gamma, 200_000, seed=17).values
+    y = simulate_markov(gamma, 200_000, seed=17)
     zeros = np.flatnonzero(y == 0.0)
     gaps = np.diff(zeros) - 1  # ones between consecutive zeros
     z = zeta_value(gamma)
@@ -626,7 +618,7 @@ def test_simulate_markov_batch_rows_match_single_runs(monkeypatch):
     assert second == short and further == count and more == count
     monkeypatch.undo()
     for seed, row in zip(seeds, rows):
-        assert np.array_equal(row, simulate_markov(2.05, 2000, seed).values)
+        assert np.array_equal(row, simulate_markov(2.05, 2000, seed))
 
 
 def test_simulate_markov_batch_heavy_stationary_tail():
@@ -651,8 +643,6 @@ def test_negative_indices_and_empty_runs_are_rejected():
         markov_stationary(2.5, -1)
     with pytest.raises(ValueError, match="series length"):
         simulate_markov_batch(2.5, 0, [1, 2])
-    with pytest.raises(ValueError, match="takes gamma only"):
-        MapParams(MapParams.lbp(2.5).kind, s=0.8)
 
 
 def test_markov_rejects_gamma_at_most_two():

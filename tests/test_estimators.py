@@ -275,7 +275,7 @@ def mp_series():
 
 def test_pipelines_produce_valid_results(mp_series):
     for method in METHOD_NAMES:
-        result = estimate(mp_series.values, method)
+        result = estimate(mp_series, method)
         assert result.method == method
         if result.valid:
             assert np.isfinite(result.s_hat)
@@ -284,15 +284,15 @@ def test_pipelines_produce_valid_results(mp_series):
 
 def test_estimate_rejects_unknown_method(mp_series):
     with pytest.raises(ValueError):
-        estimate(mp_series.values, "whittle")
+        estimate(mp_series, "whittle")
 
 
 def test_regression_methods_are_scale_invariant(mp_series):
     # multiplying the series by a positive constant shifts log ordinates
     # additively and leaves every slope-based estimate unchanged
-    scaled = 3.7 * mp_series.values
+    scaled = 3.7 * mp_series
     for method in ("perio", "parzen", "cos1", "cos2", "vpmp", "wmp-haar", "wmp-mexhat"):
-        base = estimate(mp_series.values, method)
+        base = estimate(mp_series, method)
         other = estimate(scaled, method)
         assert_allclose(other.s_hat, base.s_hat, atol=1e-10)
 
@@ -300,10 +300,10 @@ def test_regression_methods_are_scale_invariant(mp_series):
 def test_estimate_rejects_unknown_config_key(mp_series):
     for method in METHOD_NAMES:
         with pytest.raises(TypeError):
-            estimate(mp_series.values, method, block_exponent_typo=0.5)
+            estimate(mp_series, method, block_exponent_typo=0.5)
     for method in set(METHOD_NAMES) - {"varmp"}:
         with pytest.raises(TypeError):
-            estimate(mp_series.values, method, block_exponent=0.5)
+            estimate(mp_series, method, block_exponent=0.5)
 
 
 def test_estimate_fixed_arguments_cannot_be_overridden(mp_series):
@@ -314,12 +314,12 @@ def test_estimate_fixed_arguments_cannot_be_overridden(mp_series):
             if key == "band" and method in ("perio", "parzen"):
                 continue  # the regression band is a tuning key of these two
             with pytest.raises(TypeError):
-                estimate(mp_series.values, method, **{key: value})
+                estimate(mp_series, method, **{key: value})
 
 
 def test_estimate_non_finite_input_is_invalid(mp_series):
     for bad in (np.nan, np.inf, -np.inf):
-        x = mp_series.values.copy()
+        x = mp_series.copy()
         x[100] = bad
         for method in METHOD_NAMES:
             result = estimate(x, method)
@@ -348,7 +348,7 @@ def test_varmp_invalid_on_constant_series():
 
 def test_vpmp_grid_validation(mp_series):
     with pytest.raises(ValueError):
-        estimate(mp_series.values, "vpmp", block_sizes=[4, 8])
+        estimate(mp_series, "vpmp", block_sizes=[4, 8])
     with pytest.raises(ValueError):
         estimate(np.ones(100), "vpmp", block_sizes=[2, 4, 8, 50])
 
@@ -376,19 +376,19 @@ def test_vpmp_iid_bernoulli_near_half():
 
 
 def test_holder_pipeline_and_averaging(mp_series):
-    single = estimate(mp_series.values, "p")
+    single = estimate(mp_series, "p")
     assert single.points_used == 1
-    averaged = estimate(mp_series.values, "p", average_count=5)
+    averaged = estimate(mp_series, "p", average_count=5)
     assert averaged.points_used == 5
-    smoothed = estimate(mp_series.values, "sp")
+    smoothed = estimate(mp_series, "sp")
     assert smoothed.method == "sp"
     assert smoothed.diagnostics["origin_ordinate"] > 0.0
     with pytest.raises(ValueError):
-        estimate(mp_series.values, "p", freq_index=0)
+        estimate(mp_series, "p", freq_index=0)
     # the band statistics against the full-grid spectra: the gap at w_j,
     # read back from s_hat, within 1e-13 of the largest ordinate (an exponent
     # at or below -2, as near Nyquist, must be invalid on both)
-    x = mp_series.values
+    x = mp_series
     n = x.size
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
     raw = periodogram(x, centered=True).ordinates
@@ -413,12 +413,12 @@ def test_holder_pipeline_and_averaging(mp_series):
 def test_holder_rejects_average_count_out_of_range(mp_series):
     # -1 and 0 once fell through to an empty average (s_hat nan, valid) or to
     # freq_index; N // 2 and above read mirrored ordinates past Nyquist
-    half = mp_series.n // 2
+    half = mp_series.size // 2
     for method in ("p", "sp"):
         for count in (-1, 0, half, half + 1):
             with pytest.raises(ValueError, match=rf"average count must lie in \[1, {half}\)"):
-                estimate(mp_series.values, method, average_count=count)
-        assert estimate(mp_series.values, method, average_count=half - 1).points_used == half - 1
+                estimate(mp_series, method, average_count=count)
+        assert estimate(mp_series, method, average_count=half - 1).points_used == half - 1
 
 
 @pytest.mark.parametrize("s,n,seed", [(0.4, 4096, 47), (0.4, 1000, 80), (0.3, 4096, 43)])
@@ -426,7 +426,7 @@ def test_sp_gap_has_no_cancellation(s, n, seed):
     # the smoothed gap at w_1 summed exactly from the same autocovariances;
     # a difference of the two FFT ordinates was off by 1.2e-13 (relative)
     # in the slope of the first row
-    x = simulate_mp(s, n, seed=seed, burn_in=0).values
+    x = simulate_mp(s, n, seed=seed, burn_in=0)
     m = default_truncation(n)
     c = (lag_window_weight(LagWindowSpec("parzen", m), np.arange(m + 1) / m)
          * sample_acv(x, m).values)
@@ -444,7 +444,7 @@ def test_sp_gap_has_no_cancellation(s, n, seed):
 def test_complement_invariance(s, n):
     # centring makes every statistic of 1 - x equal to that of x: the
     # spectra, block variances and wavelet energies see -(x - xbar)
-    x = simulate_mp(s, n, seed=int(1000 * s) + n, burn_in=0).values
+    x = simulate_mp(s, n, seed=int(1000 * s) + n, burn_in=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for method in METHOD_NAMES:
@@ -485,19 +485,19 @@ def test_check_length_matches_the_estimators():
 
 
 def test_cos_band_and_default_truncation(mp_series):
-    n = mp_series.n
-    c1 = estimate(mp_series.values, "cos1")
+    n = mp_series.size
+    c1 = estimate(mp_series, "cos1")
     assert c1.method == "cos1"
     assert c1.diagnostics["truncation"] == int(n**0.5)
-    c2 = estimate(mp_series.values, "cos2")
+    c2 = estimate(mp_series, "cos2")
     assert c2.method == "cos2"
     assert c2.diagnostics["truncation"] == int(round(n**0.3))
     assert c2.points_used == int(n**0.7)
 
 
 def test_parzen_default_truncation(mp_series):
-    result = estimate(mp_series.values, "parzen")
-    assert result.diagnostics["truncation"] == int(mp_series.n**0.9)
+    result = estimate(mp_series, "parzen")
+    assert result.diagnostics["truncation"] == int(mp_series.size**0.9)
 
 
 def test_regression_band_validation():
@@ -559,7 +559,7 @@ GOLDEN = {
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_golden_estimates(key):
     n, s, seed = key
-    x = simulate_mp(s, n, seed=seed, burn_in=0).values
+    x = simulate_mp(s, n, seed=seed, burn_in=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         results = {method: estimate(x, method) for method in METHOD_NAMES}
@@ -657,7 +657,7 @@ def _same_result(got, want, context):
 def _mixed_rows(n):
     # valid mp rows, a step whose spectrum falls too fast for parzen (slope
     # <= -2), a constant row and a row with a NaN; read-only, made once per n
-    mp = [simulate_mp(s, n, seed=seed, burn_in=0).values
+    mp = [simulate_mp(s, n, seed=seed, burn_in=0)
           for s, seed in ((0.65, 61), (0.8, 62), (0.3, 63), (0.9, 64))]
     step = (np.arange(n) < n // 3).astype(float)
     nan_row = mp[0].copy()
@@ -772,7 +772,7 @@ def test_estimate_batch_input_and_config_checks():
 def test_invalid_holder_result_keeps_its_exponent():
     # an uninvertible exponent stays in slope, as the band regressions keep
     # theirs; a vanished gap has no exponent to keep
-    x = simulate_mp(0.8, 4096, seed=33, burn_in=0).values
+    x = simulate_mp(0.8, 4096, seed=33, burn_in=0)
     n, j = x.size, 2047
     result = estimate(x, "p", freq_index=j)
     assert not result.valid and "regularity exponent" in result.reason

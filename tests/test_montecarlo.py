@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -69,6 +70,18 @@ def test_spec_rejects_a_cell_its_method_cannot_run():
     with pytest.raises(ValueError, match="positive"):
         ExperimentSpec((0.8,), (0,), ("perio",), 1)
     assert ExperimentSpec((0.6,), (2000, 1000), ("perio", "varmp"), 3).n_values == (2000, 1000)
+
+
+@pytest.mark.parametrize("model, s_values, reason", [
+    ("mp", (0.8, -0.5), "s=-0.5, model=mp: s must be a positive finite real"),
+    ("mp", (float("nan"),), "s=nan, model=mp: s must be a positive finite real"),
+    ("lbp", (0.8, 1.0), "s=1.0, model=lbp: gamma must be a finite real > 2"),
+    ("markov", (0.8, 1.5), "s=1.5, model=markov: gamma must be a finite real > 2"),
+])
+def test_spec_rejects_an_exponent_its_model_cannot_simulate(model, s_values, reason):
+    # the simulators' own rules, checked before the grid reaches that s
+    with pytest.raises(ValueError, match=f"^cell {re.escape(reason)}"):
+        ExperimentSpec(s_values, (4096,), ("perio", "cos1"), 20, model=model, burn_in=0)
 
 
 def test_run_experiment_deterministic_across_thread_counts(tmp_path):
