@@ -3,7 +3,6 @@ map exponent from spectral, variance-scaling, wavelet, and local-regularity
 statistics, with a reproducible Monte Carlo harness."""
 
 from .dynamics import (
-    MapKind,
     ObservableSpec,
     StallWarning,
     equivalent_gamma,

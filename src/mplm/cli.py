@@ -220,19 +220,23 @@ def _spec_from_file(path: str) -> ExperimentSpec:
                 raise ValueError(f"{path}:{lineno}: unknown spec key {key!r}; "
                                  f"expected one of {', '.join(_SPEC_KEYS)}")
             fields[key] = value.strip()
-    try:
-        s_values = tuple(float(v) for v in fields["s"].split(","))
-        n_values = tuple(int(v) for v in fields["n"].split(","))
-        methods = tuple(m.strip() for m in fields["methods"].split(","))
-    except KeyError as exc:
-        raise ValueError(f"{path}: spec file is missing required key: {exc}") from exc
-    observable = ObservableSpec(*_parse_interval(fields.get("interval", "0.1,0.9")))
+
+    def field(key, parse, default=None, many=False):
+        text = fields.get(key, default)
+        if text is None:
+            raise ValueError(f"{path}: spec file is missing required key: {key!r}")
+        try:
+            return tuple(map(parse, text.split(","))) if many else parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}={text}: {exc}") from None
+
     return ExperimentSpec(
-        s_values, n_values, methods, int(fields.get("replications", "200")),
-        base_seed=int(fields.get("seed", DEFAULT_BASE_SEED)),
+        field("s", float, many=True), field("n", int, many=True),
+        field("methods", str.strip, many=True), field("replications", int, 200),
+        base_seed=field("seed", int, DEFAULT_BASE_SEED),
         model=fields.get("model", "mp"),
-        observable=observable,
-        burn_in=int(fields.get("burn_in", "0")),
+        observable=ObservableSpec(*_parse_interval(fields.get("interval", "0.1,0.9"))),
+        burn_in=field("burn_in", int, 0),
     )
 
 
@@ -247,9 +251,9 @@ def _cmd_montecarlo(args):
         spec = _spec_from_file(args.spec)
         name = "results"
 
-    os.makedirs(args.out_dir, exist_ok=True)
     summaries = run_experiment(spec, args.threads)
     csv_path = os.path.join(args.out_dir, f"{name}.csv")
+    os.makedirs(args.out_dir, exist_ok=True)
     write_summaries_csv(summaries, csv_path)
     for row in summaries:
         if row.failed:
@@ -260,8 +264,9 @@ def _cmd_montecarlo(args):
         "threads": args.threads, "out_dir": args.out_dir, "s_values": list(spec.s_values),
         "n_values": list(spec.n_values), "methods": list(spec.methods),
         "replications": spec.replications, "model": spec.model,
-        "burn_in": spec.burn_in,
     }
+    if spec.model != "markov":  # the chain starts from its stationary law
+        params.update(burn_in=spec.burn_in, interval=list(spec.observable.interval))
     extra = {"wall_seconds": round(time.monotonic() - wall_start, 3), "output_csv": csv_path}
     return os.path.join(args.out_dir, "manifest.json"), params, spec.base_seed, extra
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -57,12 +56,6 @@ _GUIDE_BUCKETS = 1 << 12
 
 class StallWarning(RuntimeWarning):
     """An orbit stopped moving at 64-bit resolution near the fixed point."""
-
-
-class MapKind(str, Enum):
-    MANNEVILLE_POMEAU = "mp"
-    LINEAR_BY_PART = "lbp"
-    MARKOV_CHAIN = "markov"
 
 
 def equivalent_gamma(s: float) -> float:

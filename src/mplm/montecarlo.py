@@ -24,9 +24,9 @@ import numpy as np
 
 from ._seeds import derive_seeds
 from .dynamics import (
-    MapKind,
     ObservableSpec,
     _require_gamma,
+    _require_run,
     _require_s,
     equivalent_gamma,
     simulate_lbp_batch,
@@ -36,14 +36,14 @@ from .dynamics import (
 # perfbench/tracer.py wraps montecarlo.simulate_markov and perfbench/selfcheck.py
 # looks it up, so the name stays importable here; no cell calls it
 from .dynamics import simulate_markov  # noqa: F401
-from .estimators import METHOD_NAMES, check_length, estimate_batch
+from .estimators import check_length, estimate_batch
 # perfbench/tracer.py wraps montecarlo.estimate and perfbench/selfcheck.py
 # looks it up, so the name stays importable here; no cell calls it
 from .estimators import estimate  # noqa: F401
 
 DEFAULT_BASE_SEED = 12345
 
-_MODELS = tuple(kind.value for kind in MapKind)
+_MODELS = ("mp", "lbp", "markov")
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,14 @@ class ExperimentSpec:
             raise ValueError(f"need at least one replication, got {self.replications}")
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
-        unknown = [m for m in self.methods if m not in METHOD_NAMES]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; expected names from {METHOD_NAMES}")
         if not self.s_values or not self.n_values or not self.methods:
             raise ValueError("s_values, n_values, and methods must all be nonempty")
         if min(self.n_values) < 1:
             raise ValueError(f"series lengths must be positive, got {list(self.n_values)}")
-        # every cell's exponent and length must pass the simulator's and the
-        # method's checks before anything is simulated, not when the grid
-        # reaches that cell
+        # the burn-in, every cell's exponent and every (length, method) pair
+        # must pass the simulator's and the method's checks before anything
+        # is simulated, not when the grid reaches that cell
+        _require_run(min(self.n_values), self.burn_in)
         for s in self.s_values:
             try:
                 if self.model == "mp":

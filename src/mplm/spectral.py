@@ -81,13 +81,16 @@ class AcvEstimate:
 class Periodogram:
     """Ordinates on the Fourier grid w_h = 2 pi h / N, h = 1..N."""
 
-    freqs: np.ndarray
     ordinates: np.ndarray
     truncation: int | None = None  # a smoothed spectrum's lag-window m
 
     @property
     def n(self) -> int:
-        return self.freqs.size
+        return self.ordinates.size
+
+    @property
+    def freqs(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(1, self.n + 1) / self.n
 
     def zero_frequency_ordinate(self) -> float:
         """Value at frequency 0, read off the h = N alias."""
@@ -223,9 +226,7 @@ def periodogram(series, centered: bool = False) -> Periodogram:
     if n < 2:
         raise ValueError("periodogram needs at least 2 observations")
     alias = 0.0 if centered else _power(x.sum(), 0.0, n)
-    ordinates = np.append(periodogram_band(x[None], np.arange(1, n))[0], alias)
-    freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
-    return Periodogram(freqs, ordinates)
+    return Periodogram(np.append(periodogram_band(x[None], np.arange(1, n))[0], alias))
 
 
 def lag_window_weight(spec: LagWindowSpec, x):
@@ -272,8 +273,7 @@ def smoothed_periodogram(series, spec: LagWindowSpec) -> Periodogram:
     n = x.size
     h = np.arange(1, n + 1)  # h and n - h share an ordinate; h = n aliases h = 0
     ordinates = _lag_half(_weighted_acv(x[None], spec), n)[0, np.minimum(h, n - h)]
-    freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
-    return Periodogram(freqs, ordinates, truncation=spec.m)
+    return Periodogram(ordinates, truncation=spec.m)
 
 
 # A band is read off a product with a cached trigonometric table while the

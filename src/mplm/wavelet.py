@@ -16,7 +16,7 @@ reshaped so that each of its diagonals lines up in a column.  The product
 keeps the shape of a single series on purpose: stacking the rows into one
 larger product hands it to the BLAS threads, and a second thread then
 spins between calls.  Both paths agree with the direct summation of the
-defining formula, which is kept available as a slow oracle.
+defining formula, which ``_coefficients_direct`` keeps as a test oracle.
 """
 
 from __future__ import annotations
@@ -162,24 +162,17 @@ def _coefficients_direct(x: np.ndarray, basis: WaveletBasis, j: int) -> np.ndarr
 
 
 def wavelet_coefficients(series, basis: WaveletBasis, j: int,
-                         centered: bool = True, method: str = "fast") -> np.ndarray:
+                         centered: bool = True) -> np.ndarray:
     """Level-j coefficients w[j, 0..2**j - 1].
 
     The series is truncated to the largest power of two with a diagnostic
-    if needed, and mean-centered by default.  ``method="direct"`` evaluates
-    the defining sum term by term instead of the fast path.
+    if needed, and mean-centered by default.
     """
     basis = WaveletBasis(basis)
     x, m = _pow2_rows(series_values(series)[None])
     if not 0 <= j < m:
         raise ValueError(f"level must satisfy 0 <= j <= {m - 1}, got {j}")
-    if centered:
-        x = x - x.mean()
-    if method == "direct":
-        return _coefficients_direct(x[0], basis, j)
-    if method != "fast":
-        raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
-    return next(_fast_coefficients(x, m, basis, [j]))[0]
+    return next(_fast_coefficients(_centred(x) if centered else x, m, basis, [j]))[0]
 
 
 def ladder_rows(rows, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:

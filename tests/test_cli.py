@@ -180,6 +180,46 @@ def test_montecarlo_spec_with_an_exponent_the_model_rejects_exits_one(tmp_path, 
     assert not out_dir.exists()
 
 
+def test_montecarlo_spec_with_a_negative_burn_in_exits_one(tmp_path, capsys):
+    for model in ("mp", "markov"):
+        spec = tmp_path / "run.spec"
+        spec.write_text(f"model={model}\ns=0.8\nn=1024\nmethods=perio\nburn_in=-5\n")
+        out_dir = tmp_path / model
+        assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+        assert "burn-in must be >= 0, got -5" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def test_montecarlo_manifest_records_the_inputs_the_model_takes(tmp_path):
+    for model in ("mp", "lbp", "markov"):
+        spec = tmp_path / "run.spec"
+        spec.write_text(f"model={model}\ns=0.8\nn=1024\nmethods=perio\nreplications=1\n"
+                        "burn_in=7\ninterval=0.2,0.8\n")
+        out_dir = tmp_path / model
+        assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir)]) == 0
+        params = json.loads((out_dir / "manifest.json").read_text())["parameters"]
+        taken = {} if model == "markov" else {"burn_in": 7, "interval": [0.2, 0.8]}
+        assert {k: params[k] for k in ("burn_in", "interval") if k in params} == taken, model
+
+
+@pytest.mark.parametrize("line", ["n=1e4", "replications=abc", "burn_in=x"])
+def test_spec_file_bad_value_names_the_file_and_key(tmp_path, capsys, line):
+    spec = tmp_path / "run.spec"
+    spec.write_text(f"s=0.8\nn=1024\nmethods=perio\n{line}\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"mplm: {spec}: {line}: invalid literal for int()")
+    assert not out_dir.exists()
+
+
+def test_failed_montecarlo_run_leaves_no_output_directory(tmp_path, capsys):
+    out_dir = tmp_path / "mc"
+    assert run_cli(["montecarlo", "--preset", "table53", "--scale", "0.02",
+                    "--threads", "0", "--out-dir", str(out_dir)]) == 1
+    assert "thread count must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_montecarlo_requires_exactly_one_source(tmp_path):
     assert run_cli(["montecarlo"]) == 1
     assert run_cli(["montecarlo", "--preset", "table51", "--spec", "x"]) == 1
@@ -550,7 +590,8 @@ GOLDEN_RUNS = {
         [0.8, 32768, "wmp-haar", 0.94508160874399083, 0, 0.021048673195744425, 0],
         [0.8, 32768, "wmp-mexhat", 0.77740831993509607, 0, 0.00051038400815497963, 0]]}, {
         "output_csv": "<tmp>/mc/table53.csv",
-        "parameters": {"burn_in": 0, "methods": ["wmp-haar", "wmp-mexhat"], "model": "mp",
+        "parameters": {"burn_in": 0, "interval": [0.1, 0.9],
+                       "methods": ["wmp-haar", "wmp-mexhat"], "model": "mp",
                        "n_values": [8192, 16384, 32768], "out_dir": "<tmp>/mc",
                        "preset": "table53", "replications": 1, "s_values": [0.65, 0.8],
                        "scale": 0.02, "spec": None, "threads": 1},
@@ -567,12 +608,23 @@ def test_golden_cli_runs(tmp_path, monkeypatch, capsys):
         assert close_to(golden_record(name, tmp_path, monkeypatch, capsys), GOLDEN_RUNS[name]), name
 
 
-def test_runs_as_a_module():
+def fresh_python(*args):
+    """A new interpreter run with this checkout's package first on its path."""
     src = str(Path(mplm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_importing_the_cli_draws_no_random_numbers():
+    # perfbench's setup_s times this import, and loading numpy.random would add to it
+    done = fresh_python("-c", "import sys, mplm.cli; print('numpy.random' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_runs_as_a_module():
     for module in ("mplm", "mplm.cli"):
-        done = subprocess.run([sys.executable, "-m", module, "--version"],
-                              capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": path})
+        done = fresh_python("-m", module, "--version")
         assert done.returncode == 0, (module, done.stderr)
         assert done.stdout == f"mplm {mplm.__version__}\n", module

@@ -84,6 +84,13 @@ def test_spec_rejects_an_exponent_its_model_cannot_simulate(model, s_values, rea
         ExperimentSpec(s_values, (4096,), ("perio", "cos1"), 20, model=model, burn_in=0)
 
 
+@pytest.mark.parametrize("model", ["mp", "lbp", "markov"])
+def test_spec_rejects_a_negative_burn_in_for_every_model(model):
+    # the simulators' own run check, whether or not the model discards a burn-in
+    with pytest.raises(ValueError, match="burn-in must be >= 0, got -5"):
+        ExperimentSpec((0.8,), (1024,), ("perio",), 2, model=model, burn_in=-5)
+
+
 def test_run_experiment_deterministic_across_thread_counts(tmp_path):
     first = run_experiment(TINY, threads=1)
     second = run_experiment(TINY, threads=4)
@@ -168,7 +175,7 @@ def test_preset_shapes_and_scaling():
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec((0.8,), (512,), ("perio",), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cell N=512, method=nope: unknown method 'nope'"):
         ExperimentSpec((0.8,), (512,), ("nope",), 5)
     with pytest.raises(ValueError):
         ExperimentSpec((0.8,), (512,), ("perio",), 5, model="ou")
