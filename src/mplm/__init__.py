@@ -21,15 +21,8 @@ from .estimators import (BatchEstimate, EstimateResult, RegressionBand, estimate
                          ols_slope)
 from .montecarlo import ExperimentSpec, McSummary, preset_experiment, run_experiment, summarize
 from .partial_sums import ScalingFit, scaling_exponent, var_partial_sum
-from .spectral import (
-    AcvEstimate,
-    LagWindowSpec,
-    Periodogram,
-    lag_window_weight,
-    periodogram,
-    sample_acv,
-    smoothed_periodogram,
-)
-from .wavelet import WaveletBasis, WaveletLadder, psi, sample_R, wavelet_coefficients
+from .spectral import (LagWindowSpec, lag_window_weight, periodogram, sample_acv,
+                       smoothed_periodogram)
+from .wavelet import WaveletBasis, psi, sample_R, wavelet_coefficients
 
 __version__ = "0.1.0"

@@ -171,17 +171,18 @@ def _cmd_simulate(args):
 
 def _cmd_spectrum(args):
     x = _read_series(args.infile)
+    m = args.m
     if args.smooth == "none":
-        if args.m is not None:
+        if m is not None:
             raise ValueError("--smooth none does not take --m")
-        per = periodogram(x)
+        ordinates = periodogram(x)
     else:
-        m = default_truncation(x.size) if args.m is None else args.m
-        per = smoothed_periodogram(x, LagWindowSpec(args.smooth, m))
-    lines = ["omega,ordinate"]
-    lines += [f"{_fmt(w)},{_fmt(v)}" for w, v in zip(per.freqs, per.ordinates)]
+        m = default_truncation(x.size) if m is None else m
+        ordinates = smoothed_periodogram(x, LagWindowSpec(args.smooth, m))
+    freqs = 2.0 * np.pi * np.arange(1, x.size + 1) / x.size
+    lines = ["omega,ordinate"] + [f"{_fmt(w)},{_fmt(v)}" for w, v in zip(freqs, ordinates)]
     _write_lines(args.out, lines)
-    params = {"in": args.infile, "smooth": args.smooth, "m": per.truncation, "out": args.out}
+    params = {"in": args.infile, "smooth": args.smooth, "m": m, "out": args.out}
     return _beside(args.out), params, None, None
 
 
@@ -219,6 +220,8 @@ def _spec_from_file(path: str) -> ExperimentSpec:
             if key not in _SPEC_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown spec key {key!r}; "
                                  f"expected one of {', '.join(_SPEC_KEYS)}")
+            if key in fields:
+                raise ValueError(f"{path}:{lineno}: repeated spec key {key!r}")
             fields[key] = value.strip()
 
     def field(key, parse, default=None, many=False):

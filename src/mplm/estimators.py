@@ -50,7 +50,7 @@ from .spectral import (LagWindowSpec, _centred, _row_products, default_truncatio
 # wavelet.sample_R.* metrics therefore read 0 until the benchmark wraps the
 # row statistics instead.
 from .spectral import periodogram, smoothed_periodogram  # noqa: F401
-from .wavelet import WaveletBasis, WaveletLadder, ladder_rows, sample_R  # noqa: F401
+from .wavelet import WaveletBasis, ladder_rows, sample_R  # noqa: F401
 from .wavelet import _require_ladder_length
 
 ORDINATE_FLOOR = 1e-15  # clamp for nonpositive ordinates ahead of logs
@@ -340,11 +340,11 @@ def _block_variance(x: np.ndarray, block_exponent: float = 0.7):
 
 
 @lru_cache(maxsize=64)
-def default_block_grid(n: int, sizes: int = 10) -> np.ndarray:
-    """Geometric grid of block lengths between N**0.3 and N**0.7 (read-only)."""
+def default_block_grid(n: int) -> np.ndarray:
+    """Geometric grid of 10 block lengths between N**0.3 and N**0.7 (read-only)."""
     lo = max(2, int(math.floor(n**0.3 + 1e-9)))
-    hi = max(lo + sizes, int(math.floor(n**0.7 + 1e-9)))
-    raw = np.floor(np.exp(np.linspace(math.log(lo), math.log(hi), sizes))).astype(int)
+    hi = max(lo + 10, int(math.floor(n**0.7 + 1e-9)))
+    raw = np.floor(np.exp(np.linspace(math.log(lo), math.log(hi), 10))).astype(int)
     # sorted(set()) rather than np.unique, whose first call imports numpy.ma:
     # ExperimentSpec runs this for every preset while the package imports
     grid = np.array(sorted(set(raw.tolist())))
@@ -414,9 +414,9 @@ def _wmp_inversion(values: np.ndarray, method: str, levels: np.ndarray) -> Batch
                    {"floored_levels": floored, "memory_d": d}, {"levels": levels})
 
 
-def wmp_from_ladder(ladder: WaveletLadder, method: str = "wmp-haar") -> EstimateResult:
+def wmp_from_ladder(levels, values, method: str = "wmp-haar") -> EstimateResult:
     """Closed-form wavelet estimate from a variance ladder (see ``_wmp_inversion``)."""
-    return _wmp_inversion(np.asarray(ladder.values)[None], method, ladder.levels).result(0)
+    return _wmp_inversion(np.asarray(values)[None], method, np.asarray(levels)).result(0)
 
 
 def _ladder(x: np.ndarray, basis: WaveletBasis):

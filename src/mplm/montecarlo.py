@@ -66,6 +66,12 @@ class ExperimentSpec:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
         if not self.s_values or not self.n_values or not self.methods:
             raise ValueError("s_values, n_values, and methods must all be nonempty")
+        # a repeated value repeats its cells' streams, so their rows too
+        for name, values in (("s", self.s_values), ("N", self.n_values), ("method", self.methods)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name}={repeated[0]} is given more than once; "
+                                 f"each cell must be distinct")
         if min(self.n_values) < 1:
             raise ValueError(f"series lengths must be positive, got {list(self.n_values)}")
         # the burn-in, every cell's exponent and every (length, method) pair

@@ -28,7 +28,7 @@ from .estimators import ols_slope
 
 def var_partial_sum(acv, n: int) -> float:
     """Variance of the length-n partial sum from autocovariances 0..n-1."""
-    values = np.asarray(getattr(acv, "values", acv), dtype=np.float64)
+    values = np.asarray(acv, dtype=np.float64)
     if n < 1:
         raise ValueError(f"partial-sum length must be >= 1, got {n}")
     if values.size < n:

@@ -63,40 +63,6 @@ def _centred(x: np.ndarray) -> np.ndarray:
     return x - x.sum(axis=1, keepdims=True) / x.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class AcvEstimate:
-    """Sample autocovariances gamma_hat(0..max_lag) with the 1/N divisor."""
-
-    values: np.ndarray
-    n: int
-
-    def autocorrelation(self) -> np.ndarray:
-        """rho_hat(h) = gamma_hat(h) / gamma_hat(0); undefined for constants."""
-        if self.values[0] == 0.0:
-            raise ValueError("autocorrelation undefined: zero sample variance")
-        return self.values / self.values[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Periodogram:
-    """Ordinates on the Fourier grid w_h = 2 pi h / N, h = 1..N."""
-
-    ordinates: np.ndarray
-    truncation: int | None = None  # a smoothed spectrum's lag-window m
-
-    @property
-    def n(self) -> int:
-        return self.ordinates.size
-
-    @property
-    def freqs(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(1, self.n + 1) / self.n
-
-    def zero_frequency_ordinate(self) -> float:
-        """Value at frequency 0, read off the h = N alias."""
-        return float(self.ordinates[-1])
-
-
 @dataclass(frozen=True)
 class LagWindowSpec:
     """Lag window family plus truncation point m (weights w(k/m), k = 0..m)."""
@@ -190,8 +156,8 @@ def _acv_rows(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def sample_acv(series, max_lag: int) -> AcvEstimate:
-    """Biased sample autocovariance up to max_lag.
+def sample_acv(series, max_lag: int) -> np.ndarray:
+    """Biased sample autocovariance gamma_hat(0..max_lag), shape (max_lag + 1,).
 
     gamma_hat(h) = (1/N) sum_{t<N-h} (x_t - xbar)(x_{t+h} - xbar).  The 1/N
     divisor keeps the sequence nonnegative definite, which the lag-window
@@ -210,23 +176,21 @@ def sample_acv(series, max_lag: int) -> AcvEstimate:
     n = x.size
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must satisfy 0 <= max_lag < {n}, got {max_lag}")
-    return AcvEstimate(_acv_rows(x[None], max_lag)[0], n)
+    return _acv_rows(x[None], max_lag)[0]
 
 
-def periodogram(series, centered: bool = False) -> Periodogram:
-    """Raw periodogram on the full Fourier grid.
+def periodogram(series) -> np.ndarray:
+    """Raw periodogram ordinates at w_h = 2 pi h / N, h = 1..N, shape (N,).
 
     ``periodogram_band`` over h = 1..N-1, plus the h = N alias of frequency
-    0: |sum_t x_t|**2 / (4 pi^2 N), or 0 with ``centered``.  Subtracting the
-    sample mean changes the transform at h = 0 alone, so the band is the
-    same either way.
+    0: |sum_t x_t|**2 / (4 pi^2 N).  Subtracting the sample mean changes the
+    transform at h = 0 alone, so the band is the same either way.
     """
     x = series_values(series)
     n = x.size
     if n < 2:
         raise ValueError("periodogram needs at least 2 observations")
-    alias = 0.0 if centered else _power(x.sum(), 0.0, n)
-    return Periodogram(np.append(periodogram_band(x[None], np.arange(1, n))[0], alias))
+    return np.append(periodogram_band(x[None], np.arange(1, n))[0], _power(x.sum(), 0.0, n))
 
 
 def lag_window_weight(spec: LagWindowSpec, x):
@@ -262,8 +226,8 @@ def _weighted_acv(x: np.ndarray, spec: LagWindowSpec) -> np.ndarray:
     return _window_weights(spec) * _acv_rows(x, spec.m)
 
 
-def smoothed_periodogram(series, spec: LagWindowSpec) -> Periodogram:
-    """Lag-window smoothed spectral estimate on the same grid as ``periodogram``.
+def smoothed_periodogram(series, spec: LagWindowSpec) -> np.ndarray:
+    """Lag-window smoothed spectral estimate on the same grid as ``periodogram``, shape (N,).
 
     Ordinates may dip below zero for the cosine-bell window; they are
     returned as computed, and log-based consumers clamp them with a
@@ -272,8 +236,7 @@ def smoothed_periodogram(series, spec: LagWindowSpec) -> Periodogram:
     x = series_values(series)
     n = x.size
     h = np.arange(1, n + 1)  # h and n - h share an ordinate; h = n aliases h = 0
-    ordinates = _lag_half(_weighted_acv(x[None], spec), n)[0, np.minimum(h, n - h)]
-    return Periodogram(ordinates, truncation=spec.m)
+    return _lag_half(_weighted_acv(x[None], spec), n)[0, np.minimum(h, n - h)]
 
 
 # A band is read off a product with a cached trigonometric table while the
@@ -349,11 +312,10 @@ def _half_angle_table(n: int, indices: tuple[int, ...], m: int) -> np.ndarray:
 def periodogram_band(x, indices) -> np.ndarray:
     """Centred periodogram of each row of x at the Fourier indices h, each in [1, N).
 
-    Row r equals ``periodogram(x[r], centered=True).ordinates[h - 1]``; the
-    result has shape (rows, len(h)).  Read off
-    one product of the centred rows with a cached (2 * len(h), N) table of
-    cosines and sines while that table fits (``_max_table``), else off one
-    rfft per row at min(h, N - h).
+    Row r equals ``periodogram(x[r])[h - 1]``; the result has shape
+    (rows, len(h)).  Read off one product of the centred rows with a cached
+    (2 * len(h), N) table of cosines and sines while that table fits
+    (``_max_table``), else off one rfft per row at min(h, N - h).
     """
     n = x.shape[1]
     h = _fourier_indices(indices, n)
@@ -368,7 +330,7 @@ def periodogram_band(x, indices) -> np.ndarray:
 def lag_window_band(x, spec: LagWindowSpec, g: int) -> np.ndarray:
     """Lag-window spectrum of each row of x at h = 1..g, shape (rows, g).
 
-    Row r equals ``smoothed_periodogram(x[r], spec).ordinates[:g]``:
+    Row r equals ``smoothed_periodogram(x[r], spec)[:g]``:
     (c_0 + 2 sum_{k=1..m} c_k cos(w_h k)) / 2 pi comes from a cached (g, m)
     cosine table while that table fits (``_max_table``), else from one
     length-N rfft of c per row sliced to the band.

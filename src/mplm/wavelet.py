@@ -22,7 +22,6 @@ defining formula, which ``_coefficients_direct`` keeps as a test oracle.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -40,15 +39,6 @@ class TruncationWarning(UserWarning):
 class WaveletBasis(str, Enum):
     HAAR = "haar"
     MEXICAN_HAT = "mexhat"
-
-
-@dataclass(frozen=True, eq=False)
-class WaveletLadder:
-    """Per-level mean squared coefficients R_hat(j), j = 4..m-1."""
-
-    levels: np.ndarray
-    values: np.ndarray
-    m: int
 
 
 def psi(basis: WaveletBasis, u):
@@ -161,18 +151,17 @@ def _coefficients_direct(x: np.ndarray, basis: WaveletBasis, j: int) -> np.ndarr
     return 2.0 ** (0.5 * j) * out
 
 
-def wavelet_coefficients(series, basis: WaveletBasis, j: int,
-                         centered: bool = True) -> np.ndarray:
-    """Level-j coefficients w[j, 0..2**j - 1].
+def wavelet_coefficients(series, basis: WaveletBasis, j: int) -> np.ndarray:
+    """Level-j coefficients w[j, 0..2**j - 1] of the mean-centred series.
 
     The series is truncated to the largest power of two with a diagnostic
-    if needed, and mean-centered by default.
+    if needed.
     """
     basis = WaveletBasis(basis)
     x, m = _pow2_rows(series_values(series)[None])
     if not 0 <= j < m:
         raise ValueError(f"level must satisfy 0 <= j <= {m - 1}, got {j}")
-    return next(_fast_coefficients(_centred(x) if centered else x, m, basis, [j]))[0]
+    return next(_fast_coefficients(_centred(x), m, basis, [j]))[0]
 
 
 def ladder_rows(rows, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -195,10 +184,10 @@ def ladder_rows(rows, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
     return levels, values
 
 
-def sample_R(series, basis: WaveletBasis) -> WaveletLadder:
-    """Mean squared coefficient per level, R_hat(j) for j = 4..m-1.
+def sample_R(series, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Levels j = 4..m-1 and the mean squared coefficient R_hat(j) of each.
 
     The ladder of one series: row 0 of ``ladder_rows``.
     """
     levels, values = ladder_rows(series_values(series)[None], basis)
-    return WaveletLadder(levels, values[0], int(levels[-1]) + 1)
+    return levels, values[0]

@@ -205,7 +205,9 @@ def test_montecarlo_manifest_records_the_inputs_the_model_takes(tmp_path):
 @pytest.mark.parametrize("line", ["n=1e4", "replications=abc", "burn_in=x"])
 def test_spec_file_bad_value_names_the_file_and_key(tmp_path, capsys, line):
     spec = tmp_path / "run.spec"
-    spec.write_text(f"s=0.8\nn=1024\nmethods=perio\n{line}\n")
+    key = line.split("=")[0]  # in place of the base line with that key, not repeating it
+    base = [b for b in ("s=0.8", "n=1024", "methods=perio") if not b.startswith(f"{key}=")]
+    spec.write_text("\n".join(base + [line]) + "\n")
     out_dir = tmp_path / "out"
     assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith(f"mplm: {spec}: {line}: invalid literal for int()")
@@ -361,6 +363,25 @@ def test_spec_file_rejects_unknown_keys(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_spec_file_rejects_a_repeated_key(tmp_path, capsys):
+    # the last copy once won silently: this spec wrote only the s = 0.8 row
+    spec = tmp_path / "run.spec"
+    spec.write_text("s=0.6\nn=2048\nmethods=perio\nreplications=2\ns=0.8\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+    assert f"{spec}:5: repeated spec key 's'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_spec_file_with_a_repeated_value_exits_one(tmp_path, capsys):
+    spec = tmp_path / "run.spec"
+    spec.write_text("s=0.8\nn=2048,2048\nmethods=perio,perio\nreplications=2\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+    assert "N=2048 is given more than once" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_env_values_checked_like_flags(tmp_path, monkeypatch, capsys):
     series = tmp_path / "s.csv"
     run_cli(["simulate", "--model", "mp", "--s", "0.8", "--n", "1024",
@@ -403,9 +424,10 @@ def test_spectrum_without_smoothing_writes_the_periodogram(tmp_path):
              "--out", str(series)])
     out = tmp_path / "per.csv"
     assert run_cli(["spectrum", "--in", str(series), "--smooth", "none", "--out", str(out)]) == 0
-    per = periodogram(cli._read_series(str(series)))
+    x = cli._read_series(str(series))
+    freqs = 2.0 * np.pi * np.arange(1, x.size + 1) / x.size  # h = 1..N; h = N aliases 0
     assert out.read_text().splitlines() == ["omega,ordinate"] + [
-        f"{w:.17g},{v:.17g}" for w, v in zip(per.freqs, per.ordinates)]
+        f"{w:.17g},{v:.17g}" for w, v in zip(freqs, periodogram(x))]
     manifest = json.loads((tmp_path / "per.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "spectrum" and manifest["parameters"]["m"] is None
 

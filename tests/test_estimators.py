@@ -33,7 +33,7 @@ from mplm.estimators import (
 )
 from mplm.spectral import (LagWindowSpec, default_truncation, lag_window_weight, periodogram,
                            sample_acv, smoothed_periodogram)
-from mplm.wavelet import TruncationWarning, WaveletLadder
+from mplm.wavelet import TruncationWarning
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_wmp_planted_ladder():
     levels = np.arange(4, 12)
     d = 0.375
     values = np.exp(0.7 + d * np.log(2.0 ** (-2.0 * levels)))
-    result = wmp_from_ladder(WaveletLadder(levels, values, 12))
+    result = wmp_from_ladder(levels, values)
     assert result.valid
     assert_allclose(result.s_hat, 1.0 / (2.0 * (1.0 - d)), atol=1e-9)
 
@@ -148,8 +148,9 @@ def test_memory_within_rounding_of_one_is_invalid():
     levels = np.arange(4, 12)
     sizes = np.array([10.0, 20.0, 40.0, 80.0])
     for d, valid in ((1.0 - 1e-9, True), (1.0, False)):
-        ladder = WaveletLadder(levels, np.exp(0.7 + d * np.log(2.0 ** (-2.0 * levels))), 12)
-        for result in (wmp_from_ladder(ladder), vpmp_from_variances(sizes, sizes ** (2 * d - 1))):
+        values = np.exp(0.7 + d * np.log(2.0 ** (-2.0 * levels)))
+        for result in (wmp_from_ladder(levels, values),
+                       vpmp_from_variances(sizes, sizes ** (2 * d - 1))):
             assert result.valid is valid, (result.method, d)
             if valid:
                 assert_allclose(result.s_hat, 0.5e9, rtol=1e-6)
@@ -172,7 +173,7 @@ def test_wmp_closed_form_equals_two_step_regression():
         m = int(rng.integers(6, 15))
         levels = np.arange(4, m)
         values = np.exp(rng.normal(0.0, 2.0, levels.size))
-        result = wmp_from_ladder(WaveletLadder(levels, values, m))
+        result = wmp_from_ladder(levels, values)
         slope, _ = ols_slope(np.log(2.0 ** (-2.0 * levels.astype(float))),
                              np.log(values))
         if slope < 1.0:
@@ -231,16 +232,16 @@ SCALAR_VIEWS = {
         "vpmp", math.nan, 1.5000000000000027, 4,
         {"memory_d": 1.2500000000000013, "intercept": -7.105427357601002e-15},
         False, "memory parameter estimate 1.25 >= 1")),
-    "wmp": (lambda: wmp_from_ladder(WaveletLadder(_LEVELS, 2.0 ** (-0.5 * _LEVELS), 9)),
+    "wmp": (lambda: wmp_from_ladder(_LEVELS, 2.0 ** (-0.5 * _LEVELS)),
             EstimateResult("wmp-haar", 0.6666666666666669, 0.25000000000000017, 5,
                            {"floored_levels": 0, "memory_d": 0.25000000000000017,
                             "levels": [4, 5, 6, 7, 8]})),
     "wmp-floored": (lambda: wmp_from_ladder(
-        WaveletLadder(_LEVELS, np.array([1.0, 0.5, 0.0, 0.2, 0.1]), 9), "wmp-mexhat"),
+        _LEVELS, np.array([1.0, 0.5, 0.0, 0.2, 0.1]), "wmp-mexhat"),
         EstimateResult("wmp-mexhat", 0.8309639976998875, 0.3982892142331045, 5,
                        {"floored_levels": 1, "memory_d": 0.3982892142331045,
                         "levels": [4, 5, 6, 7, 8]})),
-    "wmp-memory": (lambda: wmp_from_ladder(WaveletLadder(_LEVELS, 2.0 ** (-3.0 * _LEVELS), 9)),
+    "wmp-memory": (lambda: wmp_from_ladder(_LEVELS, 2.0 ** (-3.0 * _LEVELS)),
                    EstimateResult("wmp-haar", math.nan, 1.5000000000000013, 5,
                                   {"floored_levels": 0, "memory_d": 1.5000000000000013,
                                    "levels": [4, 5, 6, 7, 8]},
@@ -391,10 +392,10 @@ def test_holder_pipeline_and_averaging(mp_series):
     x = mp_series
     n = x.size
     freqs = 2.0 * np.pi * np.arange(1, n + 1) / n
-    raw = periodogram(x, centered=True).ordinates
+    raw = periodogram(x)[:-1]  # the band h = 1..N-1, without the frequency-0 alias
     smooth = smoothed_periodogram(x, LagWindowSpec("parzen", default_truncation(n)))
-    full_gaps = {"p": raw, "sp": smooth.zero_frequency_ordinate() - smooth.ordinates}
-    largest = {"p": raw.max(), "sp": smooth.ordinates.max()}
+    full_gaps = {"p": raw, "sp": smooth[-1] - smooth}
+    largest = {"p": raw.max(), "sp": smooth.max()}
     for method in ("p", "sp"):
         for j in (1, 2, n // 2 - 1):
             result = estimate(x, method, freq_index=j)
@@ -429,7 +430,7 @@ def test_sp_gap_has_no_cancellation(s, n, seed):
     x = simulate_mp(s, n, seed=seed, burn_in=0)
     m = default_truncation(n)
     c = (lag_window_weight(LagWindowSpec("parzen", m), np.arange(m + 1) / m)
-         * sample_acv(x, m).values)
+         * sample_acv(x, m))
     gap = math.fsum(float(c[k]) * 2.0 * math.sin(math.pi * k / n) ** 2
                     for k in range(1, m + 1)) / math.pi
     slope = math.log(abs(gap)) / math.log(2.0 * math.pi / n)
@@ -776,7 +777,7 @@ def test_invalid_holder_result_keeps_its_exponent():
     n, j = x.size, 2047
     result = estimate(x, "p", freq_index=j)
     assert not result.valid and "regularity exponent" in result.reason
-    gap = periodogram(x, centered=True).ordinates[j - 1]
+    gap = periodogram(x)[j - 1]
     exponent = math.log(gap) / math.log(2.0 * math.pi * j / n)
     assert exponent <= -2.0
     assert result.slope is not None and abs(result.slope - exponent) <= 1e-12 * abs(exponent)

@@ -91,6 +91,19 @@ def test_spec_rejects_a_negative_burn_in_for_every_model(model):
         ExperimentSpec((0.8,), (1024,), ("perio",), 2, model=model, burn_in=-5)
 
 
+@pytest.mark.parametrize("s_values, n_values, methods, named", [
+    ((0.6, 0.8, 0.6), (2048,), ("perio",), "s=0.6"),
+    ((0.8,), (2048, 2048), ("perio",), "N=2048"),
+    ((0.8,), (2048,), ("perio", "cos2", "perio"), "method=perio"),
+])
+def test_spec_rejects_a_repeated_value(s_values, n_values, methods, named):
+    # a repeated value gives its cells the same stream keys, so the run would
+    # write the same rows again; once, n=2048,2048 with methods=perio,perio
+    # wrote four identical rows
+    with pytest.raises(ValueError, match=f"^{named} is given more than once"):
+        ExperimentSpec(s_values, n_values, methods, 2)
+
+
 def test_run_experiment_deterministic_across_thread_counts(tmp_path):
     first = run_experiment(TINY, threads=1)
     second = run_experiment(TINY, threads=4)

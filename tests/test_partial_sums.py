@@ -11,7 +11,6 @@ from mplm.partial_sums import (
     scaling_exponent,
     var_partial_sum,
 )
-from mplm.spectral import sample_acv
 
 
 def two_state_chain_acv(a, b, max_lag):
@@ -60,13 +59,6 @@ def test_matches_two_state_chain_brute_force():
             mine = var_partial_sum(gamma, n)
             ref = brute_force_variance(gamma, n)
             assert abs(mine - ref) <= 1e-10 * abs(ref)
-
-
-def test_accepts_acv_estimate_instances():
-    x = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0])
-    acv = sample_acv(x, 7)
-    assert_allclose(var_partial_sum(acv, 8),
-                    var_partial_sum(acv.values, 8), rtol=1e-14)
 
 
 def test_rejects_insufficient_lags():
