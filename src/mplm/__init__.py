@@ -6,7 +6,6 @@ from .dynamics import (
     ObservableSpec,
     StallWarning,
     equivalent_gamma,
-    equivalent_s,
     lbp_step,
     markov_stationary,
     mp_branch_point,

@@ -64,12 +64,6 @@ def equivalent_gamma(s: float) -> float:
     return 1.0 + 1.0 / s
 
 
-def equivalent_s(gamma: float) -> float:
-    """Map exponent matched to a tail exponent gamma > 2."""
-    _require_gamma(gamma)
-    return 1.0 / (gamma - 1.0)
-
-
 def _require_s(s: float) -> None:
     if not np.isfinite(s) or s <= 0:
         raise ValueError(f"s must be a positive finite real, got {s}")

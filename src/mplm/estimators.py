@@ -167,13 +167,8 @@ def _finish(method: str, s_hat, slope, points_used: int, invalid, reason_of,
                          omitted or {})
 
 
-def memory_from_s(s: float) -> float:
-    """Fractional memory parameter d = 1 - 1/(2s)."""
-    return 1.0 - 1.0 / (2.0 * s)
-
-
 def s_from_memory(d: float) -> float:
-    """Inverse of ``memory_from_s``: s = 1 / (2(1 - d))."""
+    """Map exponent s = 1 / (2(1 - d)) of the fractional memory parameter d = 1 - 1/(2s)."""
     return 1.0 / (2.0 * (1.0 - d))
 
 

@@ -22,12 +22,12 @@ directly as (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)), with c_k the weighted
 autocovariances and 1 - cos(w_j k) = 2 sin(w_j k / 2)**2, so it keeps its
 relative precision where the two ordinates nearly agree.
 
-The autocovariances behind the lag-window spectra come from a dot product
-per lag while there are fewer than ``LAG_LIMIT`` (cos2 from N = 4096: 0.23
-ms instead of 1.0-1.5 per row at N = 30000), from transforms of
-``BLOCK_FFT``-sample blocks for a long series (cos1 from N = 16384: 0.65-0.85
-ms instead of 1.2-1.6 at N = 32768), or from one transform of the whole
-series (parzen, sp); the comment above ``LAG_LIMIT`` has the rule.
+The autocovariances behind the lag-window spectra take one of two routes
+per row: a 0/1 row sums its lags exactly by popcounts of its packed bits
+while the truncation point is below ``POPCOUNT_LIMIT`` (cos1 and cos2), and
+every other row, or a larger truncation point (parzen and sp from N = 475),
+takes one transform of the whole centred series; the comment above
+``POPCOUNT_LIMIT`` has the measurements.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 def series_values(series) -> np.ndarray:
@@ -109,48 +108,53 @@ def _lag_half(c: np.ndarray, n: int) -> np.ndarray:
     return (2.0 * f.real - c[..., :1]) / (2.0 * np.pi)
 
 
-# Lags 0..m of a length-N row take a dot product per lag while m < LAG_LIMIT,
-# 8 (m + 1)**2 <= N and N >= 2 BLOCK_FFT; transforms of BLOCK_FFT samples
-# while 2 (m + 1) <= BLOCK_FFT and N >= 8 BLOCK_FFT; else one transform of
-# length >= N + m + 1.  Measured per row on a 2-vCPU Xeon VM (numpy 2.4.6),
-# best of 60-100 alternating runs, one transform against the route taken:
-# cos2 (m = N**0.3) 0.09-0.14 / 0.05-0.11 ms at N = 4096, 1.0-1.5 / 0.23 at
-# 30000; cos1 (m = N**0.5) 0.38-0.40 / 0.29 at 16384, 1.19-1.64 / 0.65-0.85
-# at 32768.  The one transform ties or wins below: dot products at
-# N = 1000-2000 (0.03-0.07 / 0.05-0.08 ms), blocks at N = 10000-14000.
-LAG_LIMIT = 64
-BLOCK_FFT = 2048
+# Lags 0..m of a 0/1 row of N <= 2**17 samples are popcounts while
+# m < POPCOUNT_LIMIT; other rows, and larger m, take one transform of length
+# >= N + m + 1.  Measured on a 2-vCPU Xeon VM (numpy 2.4.6), best of
+# alternating runs, popcount / transform in ms per call on the 2**15 // N
+# rows ``estimate_batch`` takes at once: at m = 255, 0.50-0.56 / 1.3-1.7 for
+# one row of 30000, 0.60-0.67 / 0.73-1.27 for 4 of 8192, 1.1-1.2 / 1.0-1.5
+# for 32 of 1000, where m = 320 ties (1.5-1.6 / 1.6); cos2 (m = 22) 0.11 /
+# 1.1 and cos1 (m = 173) 0.51 / 1.1 at N = 30000.  The transform wins on
+# short rows: one row of 1000 at m = 255 0.11 / 0.06, 128 rows of 256 at
+# m = 63 0.84 / 0.71.
+POPCOUNT_LIMIT = 256
+
+
+def _lag_sums(x: np.ndarray, m: int) -> np.ndarray:
+    """P_k = sum_t x_t x_{t+k}, k = 0..m, of each 0/1 row of x as exact integers.
+
+    Rows are packed into little-endian 64-bit words; bit t of a row sits in
+    word t // 64, so lag k = 64 q + r pairs each word with the row shifted
+    down by r bits and then by q words, and P_k counts the ones they share.
+    """
+    rows, n = x.shape
+    words = -(-n // 64)
+    packed = np.zeros((rows, 8 * (words + m // 64 + 1)), np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(x != 0.0, axis=1, bitorder="little")
+    w = packed.view("<u8")
+    r = np.arange(min(m + 1, 64), dtype=np.uint64)[:, None]
+    shifted = (w[:, None, :-1] >> r) | ((w[:, None, 1:] << np.uint64(1)) << (63 - r))
+    head = w[:, None, :words]
+    sums = [np.bitwise_count(head & shifted[..., q:q + words]).sum(axis=-1)
+            for q in range(m // 64 + 1)]
+    return np.concatenate(sums, axis=1)[:, :m + 1]
 
 
 def _acv_rows(x: np.ndarray, m: int) -> np.ndarray:
     """gamma_hat(0..m) of each row of x (see ``sample_acv``), shape (rows, m + 1)."""
     rows, n = x.shape
-    direct = 2 * BLOCK_FFT <= n and m < LAG_LIMIT and 8 * (m + 1) ** 2 <= n
-    if not direct and not (2 * (m + 1) <= BLOCK_FFT and 8 * BLOCK_FFT <= n):
+    binary = ((x == 0.0) | (x == 1.0)).all(axis=1) & (m < POPCOUNT_LIMIT) & (n <= 1 << 17)
+    out = np.empty((rows, m + 1))
+    if not binary.all():
         nfft = _fft_length(n + m + 1)
-        f = np.fft.rfft(_centred(x), n=nfft, axis=1)
-        return np.fft.irfft(f.real**2 + f.imag**2, n=nfft, axis=1)[:, :m + 1] / n
-    binary = ((x == 0.0) | (x == 1.0)).all(axis=1) & (n <= 1 << 17)
-    y = x if binary.all() else np.where(binary[:, None], x, _centred(x))
-    if direct:
-        sums = np.hstack([y[:, None, :n - k] @ y[:, k:, None] for k in range(m + 1)])[..., 0]
-    else:
-        # each block of `size` samples against the size + m samples from its
-        # start: t + k < size + m < BLOCK_FFT, so no lag wraps around
-        size = BLOCK_FFT - m - 1
-        blocks = -(-n // size)
-        padded = np.zeros((rows, blocks * size + m))
-        padded[:, :n] = y
-        s0, s1 = padded.strides
-        heads = padded[:, :blocks * size].reshape(rows, blocks, size)
-        spans = as_strided(padded, (rows, blocks, size + m), (s0, size * s1, s1), writeable=False)
-        cross = np.fft.rfft(heads, n=BLOCK_FFT).conj() * np.fft.rfft(spans, n=BLOCK_FFT)
-        sums = np.fft.irfft(cross.sum(axis=1), n=BLOCK_FFT)[:, :m + 1]
-    out = sums / n
+        f = np.fft.rfft(_centred(x[~binary]), n=nfft, axis=1)
+        out[~binary] = np.fft.irfft(f.real**2 + f.imag**2, n=nfft, axis=1)[:, :m + 1] / n
     if binary.any():
-        p = np.rint(sums[binary])  # exact lag sums; P_0 is the number of ones S
+        ones = x[binary]
+        p = _lag_sums(ones, m).astype(np.float64)  # P_0 is the number of ones S
         edges = np.zeros_like(p)  # ones among the first k and the last k samples
-        edges[:, 1:] = np.cumsum(x[binary, :m] + x[binary, n - m:][:, ::-1], axis=1)
+        edges[:, 1:] = np.cumsum(ones[:, :m] + ones[:, n - m:][:, ::-1], axis=1)
         s = p[:, :1]
         out[binary] = (n * n * p + s * (n * (edges - s) - np.arange(m + 1) * s)) / n**3
     return out
@@ -163,14 +167,14 @@ def sample_acv(series, max_lag: int) -> np.ndarray:
     divisor keeps the sequence nonnegative definite, which the lag-window
     spectra rely on.
 
-    The sums take the cheapest route (see ``LAG_LIMIT``): a dot product per
-    lag, short transforms of blocks of the series, or one transform of the
-    centred series zero-padded to L >= N + max_lag + 1, the smallest
-    2**a * 3**b * 5**c (circular lag h adds lag L - h, zero as L - h >= N).
-    The first two sum a 0/1 series of N <= 2**17 uncentred: its lag sums P_h
-    are exact integers, and with S ones in all and E_h among the first and
-    last h samples, N**3 gamma_hat(h) = N**2 P_h + S (N (E_h - S) - h S) is
-    an integer below 2**53, so gamma_hat(h) comes out correctly rounded.
+    A 0/1 series of N <= 2**17 with max_lag < ``POPCOUNT_LIMIT`` sums its
+    lags uncentred, by popcounts: its lag sums P_h are exact integers, and
+    with S ones in all and E_h among the first and last h samples,
+    N**3 gamma_hat(h) = N**2 P_h + S (N (E_h - S) - h S) is an integer below
+    2**53, so gamma_hat(h) comes out correctly rounded.  Any other series
+    takes one transform of the centred series zero-padded to
+    L >= N + max_lag + 1, the smallest 2**a * 3**b * 5**c (circular lag h
+    adds lag L - h, zero as L - h >= N).
     """
     x = series_values(series)
     n = x.size

@@ -17,7 +17,6 @@ from mplm.dynamics import (
     _lbp_tables,
     ObservableSpec,
     equivalent_gamma,
-    equivalent_s,
     lbp_cell_bounds,
     lbp_step,
     markov_stationary,
@@ -289,8 +288,6 @@ def test_map_params_validation():
     with pytest.raises(ValueError, match="> 2"):
         simulate_lbp(2.0, 8, seed=0)
     assert_allclose(equivalent_gamma(0.8), 2.25)
-    assert_allclose(equivalent_s(2.25), 0.8)
-    assert_allclose(equivalent_s(equivalent_gamma(0.61)), 0.61)
 
 
 def test_observable_spec_validation():

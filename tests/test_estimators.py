@@ -23,7 +23,6 @@ from mplm.estimators import (
     estimate,
     estimate_batch,
     holder_from_ordinates,
-    memory_from_s,
     ols_slope,
     s_from_memory,
     s_from_spectral_ordinates,
@@ -69,10 +68,11 @@ def test_ols_matches_polyfit_oracle():
 
 
 def test_memory_parameter_bijection():
+    # d = 1 - 1/(2s) both ways
     for s in np.linspace(0.51, 0.99, 25):
-        assert_allclose(s_from_memory(memory_from_s(s)), s, rtol=1e-12)
+        assert_allclose(s_from_memory(1.0 - 1.0 / (2.0 * s)), s, rtol=1e-12)
     for d in np.linspace(0.01, 0.49, 25):
-        assert_allclose(memory_from_s(s_from_memory(d)), d, rtol=1e-12)
+        assert_allclose(1.0 - 1.0 / (2.0 * s_from_memory(d)), d, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mplm import spectral
 from mplm.dynamics import simulate_mp
 from mplm.spectral import (
-    BLOCK_FFT,
-    LAG_LIMIT,
+    POPCOUNT_LIMIT,
     PRODUCT_LIMIT,
     TABLE_LIMIT,
     LagWindowSpec,
@@ -20,7 +21,8 @@ from mplm.spectral import (
     sample_acv,
     smoothed_periodogram,
 )
-from mplm.spectral import _acv_rows, _cosine_table, _dft_table, _half_angle_table, _lag_half
+from mplm.spectral import (_acv_rows, _cosine_table, _dft_table, _half_angle_table, _lag_half,
+                           _lag_sums)
 
 
 def direct_periodogram(x):
@@ -69,8 +71,8 @@ def test_acv_matches_direct_sum():
     # number >= n + max_lag + 1: 101 + 30 + 1 = 132 pads to 135,
     # 100 + 27 + 1 = 128 and 97 + 46 + 1 = 144 are 5-smooth themselves,
     # 100 + 28 + 1 = 129 is one above, and max_lag = n - 1 reaches the
-    # longest lag there is; (4096, 12) takes the dot products and
-    # (17530, 100) the blocks, nine of 1947 samples and a last one of 7
+    # longest lag there is; these rows are not 0/1, so (4096, 12) and
+    # (17530, 100) take the transform too, as rows of any length do
     rng = np.random.default_rng(4)
     for n, max_lag in ((101, 30), (100, 27), (97, 46), (100, 28), (101, 100), (64, 63),
                        (2, 1), (1, 0), (4096, 12), (17530, 100)):
@@ -97,43 +99,51 @@ def exact_acv(x, max_lag):
     return out
 
 
-# (n, max_lag) per route: the dot products (cos2's m at n = 4096 and 30000),
-# blocks (nine of BLOCK_FFT - 101 = 1947 samples and a ragged last one of 7;
-# cos1's m at n = 30000) and the one transform (cos1 at n = 1000, a
-# parzen-sized m at n = 2000)
-_ACV_ROUTES = {
+# (n, max_lag) per case group. The groups keep the names of the lag routes
+# that served them before popcounts took every 0/1 row with m below
+# POPCOUNT_LIMIT: "direct" holds cos2's m at n = 4096 and 30000 (lags inside
+# one 64-bit word), "blocks" a lag of 100 at n = 9 * 1947 + 7 and cos1's m at
+# n = 30000 (lags across words), "edges" cos1's m at n = 1000 and rows and
+# lags on either side of a word edge; all three take popcounts. "transform"
+# holds a parzen-sized m at n = 2000 and the first m that POPCOUNT_LIMIT
+# leaves to the one transform.
+_ACV_CASES = {
     "direct": ((4096, 12), (30000, 22)),
-    "blocks": ((9 * (BLOCK_FFT - 101) + 7, 100), (30000, 173)),
-    "transform": ((1000, 31), (2000, 900)),
+    "blocks": ((9 * 1947 + 7, 100), (30000, 173)),
+    "edges": ((1000, 31), (65, 63), (65, 64),
+              *((n, m) for n in (1001, 4097) for m in (63, 64, 65, 127, 255))),
+    "transform": ((2000, 900), (4097, POPCOUNT_LIMIT)),
 }
 
 
 def _route(n, max_lag):
-    if 2 * BLOCK_FFT <= n and max_lag < LAG_LIMIT and 8 * (max_lag + 1) ** 2 <= n:
-        return "direct"
-    if 2 * (max_lag + 1) <= BLOCK_FFT and 8 * BLOCK_FFT <= n:
-        return "blocks"
-    return "transform"
+    return "popcount" if max_lag < POPCOUNT_LIMIT and n <= 1 << 17 else "transform"
 
 
 def _binary_rows(rng, n):
-    # dense, sparse and balanced 0/1 rows and one intermittent-map row
+    # dense, sparse and balanced 0/1 rows, one intermittent-map row, the
+    # all-zero and all-one rows, and a row whose only 1 is its last sample
     rows = [(rng.random(n) < p).astype(float) for p in (0.5, 0.03, 0.97, rng.uniform(0.2, 0.8))]
-    return np.array(rows + [simulate_mp(0.65, n, seed=n, burn_in=0)])
+    last = np.zeros(n)
+    last[-1] = 1.0
+    return np.array(rows + [simulate_mp(0.65, n, seed=n, burn_in=0), np.zeros(n), np.ones(n), last])
 
 
-@pytest.mark.parametrize("route", sorted(_ACV_ROUTES))
-def test_acv_routes_against_exact_sums(route, monkeypatch):
-    # each route's error on a 0/1 row is no larger than the one transform's:
-    # the dot products and the blocks sum 0/1 rows exactly and round once
+@pytest.mark.parametrize("group", sorted(_ACV_CASES))
+def test_acv_routes_against_exact_sums(group, monkeypatch):
+    # a popcount row is the correctly rounded exact value, and it takes no
+    # transform; the one transform of a 0/1 row is within a few ulps of it
+    route = "transform" if group == "transform" else "popcount"
     rng = np.random.default_rng(41)
-    for n, max_lag in _ACV_ROUTES[route]:
+    for n, max_lag in _ACV_CASES[group]:
         assert _route(n, max_lag) == route
         rows = _binary_rows(rng, n)
-        got = _acv_rows(rows, max_lag)
         with monkeypatch.context() as forced:
-            forced.setattr(spectral, "LAG_LIMIT", 0)
-            forced.setattr(spectral, "BLOCK_FFT", 0)
+            if route == "popcount":
+                forced.setattr(np.fft, "rfft", None)
+            got = _acv_rows(rows, max_lag)
+        with monkeypatch.context() as forced:
+            forced.setattr(spectral, "POPCOUNT_LIMIT", 0)
             transform = _acv_rows(rows, max_lag)
         for r, row in enumerate(rows):
             exact = exact_acv(row, max_lag)
@@ -142,21 +152,36 @@ def test_acv_routes_against_exact_sums(route, monkeypatch):
             transform_error = max(abs(Fraction(float(a)) - b) for a, b in zip(transform[r], exact))
             assert error <= transform_error, (n, max_lag, r)
             assert transform_error <= 8 * np.spacing(want[0]), (n, max_lag, r)
-            if route != "transform":
+            if route == "popcount":
                 assert np.array_equal(got[r], want), (n, max_lag, r)
 
 
-@pytest.mark.parametrize("route", sorted(_ACV_ROUTES))
-def test_acv_routes_batch_equals_single(route):
-    # a row gets the same bits alone and in a batch of five, which here
-    # also holds a row that is not 0/1 and so is centred first
+@pytest.mark.parametrize("group", sorted(_ACV_CASES))
+def test_acv_routes_batch_equals_single(group):
+    # a row gets the same bits alone and in a batch, which here also holds
+    # a row that is not 0/1 and so takes the transform whatever its lags
     rng = np.random.default_rng(42)
-    for n, max_lag in _ACV_ROUTES[route]:
+    for n, max_lag in _ACV_CASES[group]:
         rows = _binary_rows(rng, n)
         rows[1] *= 0.5
         batch = _acv_rows(rows, max_lag)
         for r in range(len(rows)):
             assert np.array_equal(batch[r], _acv_rows(rows[r:r + 1], max_lag)[0]), (n, max_lag, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 600), lag_share=st.floats(0.0, 1.0), rows=st.integers(1, 4),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_property_lag_sums_are_integer_dot_products(n, lag_share, rows, density, seed):
+    # lengths and lags off the multiples of 8 and 64 that packing works in
+    max_lag = int(lag_share * min(n - 1, 300))
+    x = (np.random.default_rng(seed).random((rows, n)) < density).astype(float)
+    ones = x.astype(np.int64)
+    want = [[int(row[:n - k] @ row[k:]) for k in range(max_lag + 1)] for row in ones]
+    assert np.array_equal(_lag_sums(x, max_lag), want)
+    batch = _acv_rows(x, max_lag)
+    for r in range(rows):
+        assert np.array_equal(batch[r], _acv_rows(x[r:r + 1], max_lag)[0]), r
 
 
 def test_acv_rejects_bad_lag():
