@@ -8,7 +8,6 @@ from .dynamics import (
     equivalent_gamma,
     lbp_step,
     markov_stationary,
-    mp_branch_point,
     mp_step,
     simulate_lbp,
     simulate_markov,

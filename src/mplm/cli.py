@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .dynamics import ObservableSpec, simulate_lbp, simulate_markov, simulate_mp
+from .dynamics import ObservableSpec, mp_partial_sums, simulate_lbp, simulate_markov, simulate_mp
 from .estimators import METHOD_KEYWORDS, METHOD_NAMES, estimate
 from .montecarlo import (
     DEFAULT_BASE_SEED,
@@ -33,7 +33,7 @@ from .montecarlo import (
     run_experiment,
     write_summaries_csv,
 )
-from .partial_sums import mp_generator, scaling_exponent
+from .partial_sums import scaling_exponent
 from .spectral import LagWindowSpec, default_truncation, periodogram, smoothed_periodogram
 
 ENV_PREFIX = "MPLM_"
@@ -275,8 +275,8 @@ def _cmd_montecarlo(args):
 
 
 def _cmd_appendixb(args):
-    fit = scaling_exponent(mp_generator(burn_in=args.burn_in), args.s, args.grid,
-                           args.reps, args.seed)
+    fit = scaling_exponent(functools.partial(mp_partial_sums, burn_in=args.burn_in), args.s,
+                           args.grid, args.reps, args.seed)
     lines = ["N,var,log_var"]
     lines += [f"{n},{_fmt(v)},{_fmt(np.log(v))}" for n, v in zip(fit.grid, fit.variances)]
     lines.append("# " + json.dumps({"exponent": fit.exponent, "intercept": fit.intercept},

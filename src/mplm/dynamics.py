@@ -124,26 +124,6 @@ def mp_step(s: float, x: float) -> float:
     return float(y[0])
 
 
-def mp_branch_point(s: float) -> float:
-    """The point p in (0, 1) where p + p**(1+s) = 1.
-
-    The left branch maps (0, p) onto (0, 1) and the right branch maps
-    (p, 1) onto (0, 1).  Solved by bisection; the defining equation holds
-    to better than 1e-12.
-    """
-    _require_s(s)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid + mid ** (1.0 + s) > 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _orbit_blocks(step, x0: np.ndarray, lengths: np.ndarray, burn_in: int):
     """The one orbit loop: step a vector of states, yielding the recorded ones.
 
@@ -294,17 +274,6 @@ def _lbp_tables(gamma: float):
     np.maximum(bounds, 0.0, out=bounds)
     bounds.setflags(write=False)
     return bounds, z
-
-
-def lbp_cell_bounds(gamma: float, k: int) -> tuple[float, float]:
-    """Endpoints (left, right) of cell k of the piecewise-linear partition."""
-    _require_gamma(gamma)
-    if k < 0:
-        raise ValueError(f"cell index must be >= 0, got {k}")
-    bounds, z = _lbp_tables(gamma)
-    right = bounds[k] if k < bounds.size else tail_sum(gamma, k) / z
-    left = bounds[k + 1] if k + 1 < bounds.size else tail_sum(gamma, k + 1) / z
-    return float(left), float(right)
 
 
 @lru_cache(maxsize=32)

@@ -13,10 +13,17 @@ level lays its window of one zero-padded copy out in rows of 2**(m-j)
 samples, times the kernel cut into 17 rows of that length (the last holds
 the last tap), and the product, written into rows one entry longer, is
 reshaped so that each of its diagonals lines up in a column.  The product
-keeps the shape of a single series on purpose: stacking the rows into one
-larger product hands it to the BLAS threads, and a second thread then
-spins between calls.  Both paths agree with the direct summation of the
-defining formula, which ``_coefficients_direct`` keeps as a test oracle.
+keeps the shape of a single series: one stacked product over all rows per
+level ran 4-5 times slower per row.  A single-series product is not kept
+off the BLAS threads, though.  On 2 vCPUs with numpy 2.4's OpenBLAS, the
+products of N <= 16384 run on one thread, but at N = 32768 nearly every
+level's product runs on two (process CPU / wall 1.4-2.0 per level, 1.95
+or more from j = 6 on).  Capping each product at 2**18 multiply-adds, the
+size below which OpenBLAS keeps one thread, stops the second thread but
+slowed the N = 32768 ladder from 1.23 to 1.42 ms, so the threads stay: they
+buy wall time at the cost of CPU time.  Both paths agree with the direct
+summation of the defining formula, which ``_coefficients_direct`` keeps as
+a test oracle.
 """
 
 from __future__ import annotations

@@ -8,11 +8,12 @@ because the original generator is unknown).
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
 from mplm._seeds import derive_seed
-from mplm.dynamics import simulate_mp_batch
+from mplm.dynamics import mp_partial_sums, simulate_mp_batch
 from mplm.estimators import (
     holder_from_ordinates,
     ols_slope,
@@ -22,7 +23,7 @@ from mplm.estimators import (
     wmp_from_ladder,
 )
 from mplm.montecarlo import ExperimentSpec, mse_value, run_experiment
-from mplm.partial_sums import mp_generator, scaling_exponent, var_partial_sum
+from mplm.partial_sums import scaling_exponent, var_partial_sum
 from mplm.spectral import periodogram
 
 BASE_SEED = 12345
@@ -92,7 +93,7 @@ def test_c03_partial_sum_variance_exact():
 
 
 def test_c04_partial_sum_scaling_law():
-    fit = scaling_exponent(mp_generator(burn_in=0), 0.8,
+    fit = scaling_exponent(partial(mp_partial_sums, burn_in=0), 0.8,
                            [2**k for k in range(10, 15)], 200, seed=777)
     ok = 1.45 <= fit.exponent <= 2.05
     _report("C4 partial-sum variance scaling (s=0.8)", ok,

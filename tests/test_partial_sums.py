@@ -1,16 +1,26 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mplm._seeds import derive_seed
+from mplm._seeds import derive_seed, stream_uniforms
+from mplm.dynamics import equivalent_gamma, lbp_partial_sums, mp_partial_sums
 from mplm.estimators import ols_slope
-from mplm.partial_sums import (
-    bernoulli_generator,
-    lbp_generator,
-    mp_generator,
-    scaling_exponent,
-    var_partial_sum,
-)
+from mplm.partial_sums import scaling_exponent, var_partial_sum
+
+
+def bernoulli_sums(s, lengths, seeds):
+    """Sums of independent fair 0/1 draws; s is ignored.  Var(S_N) = N / 4.
+
+    Each group of equal lengths takes one draw of its streams.
+    """
+    lengths = np.asarray(lengths)
+    sums = np.empty(lengths.size)
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        sums[rows] = (stream_uniforms([seeds[r] for r in rows], int(n)) < 0.5).sum(axis=1)
+    return sums
 
 
 def two_state_chain_acv(a, b, max_lag):
@@ -98,7 +108,7 @@ def test_riemann_sum_limit():
 
 
 def test_scaling_exponent_iid_is_diffusive():
-    fit = scaling_exponent(bernoulli_generator(0.5), 0.8,
+    fit = scaling_exponent(bernoulli_sums, 0.8,
                            [2**k for k in range(8, 13)], 1000, seed=3)
     assert abs(fit.exponent - 1.0) < 0.05
     # exact law: Var(S_N) = N/4
@@ -109,19 +119,18 @@ def test_scaling_exponent_boundary_s_half_is_diffusive():
     # at s = 0.5 the correlation sum is on the summability edge and the
     # variance growth turns diffusive (exponent 3 - 1/s = 1), up to
     # logarithmic corrections at finite N
-    fit = scaling_exponent(mp_generator(burn_in=10_000), 0.5,
+    fit = scaling_exponent(partial(mp_partial_sums, burn_in=10_000), 0.5,
                            [2**k for k in range(9, 14)], 200, seed=55)
     assert abs(fit.exponent - 1.0) < 0.2
 
 
 def test_scaling_exponent_validation():
-    gen = bernoulli_generator(0.5)
     with pytest.raises(ValueError):
-        scaling_exponent(gen, 0.8, [64, 128, 256], 100, seed=0)
+        scaling_exponent(bernoulli_sums, 0.8, [64, 128, 256], 100, seed=0)
     with pytest.raises(ValueError):
-        scaling_exponent(gen, 0.8, [64, 128, 256, 512], 10, seed=0)
+        scaling_exponent(bernoulli_sums, 0.8, [64, 128, 256, 512], 10, seed=0)
     with pytest.raises(ValueError):
-        scaling_exponent(gen, 0.8, [64, 64, 128, 256], 100, seed=0)
+        scaling_exponent(bernoulli_sums, 0.8, [64, 64, 128, 256], 100, seed=0)
 
 
 def test_scaling_exponent_rejects_a_constant_generator():
@@ -133,10 +142,9 @@ def test_scaling_exponent_rejects_a_constant_generator():
 
 
 def test_scaling_exponent_reproducible():
-    gen = bernoulli_generator(0.5)
     grid = [64, 128, 256, 512]
-    a = scaling_exponent(gen, 0.5, grid, 60, seed=11)
-    b = scaling_exponent(gen, 0.5, grid, 60, seed=11)
+    a = scaling_exponent(bernoulli_sums, 0.5, grid, 60, seed=11)
+    b = scaling_exponent(bernoulli_sums, 0.5, grid, 60, seed=11)
     assert a.exponent == b.exponent
     assert np.array_equal(a.variances, b.variances)
 
@@ -162,7 +170,10 @@ def test_cross_model_scaling_slopes_agree():
                                                 for n in grid]))[0])
         return point, np.percentile(slopes, [2.5, 97.5])
 
-    mp_point, mp_band = slope_and_band(mp_generator(burn_in=2000), "mp")
-    lbp_point, lbp_band = slope_and_band(lbp_generator(burn_in=2000), "lbp")
+    def lbp_sums(s, lengths, seeds):
+        return lbp_partial_sums(equivalent_gamma(s), lengths, seeds, burn_in=2000)
+
+    mp_point, mp_band = slope_and_band(partial(mp_partial_sums, burn_in=2000), "mp")
+    lbp_point, lbp_band = slope_and_band(lbp_sums, "lbp")
     assert lbp_band[0] <= mp_point <= lbp_band[1]
     assert mp_band[0] <= lbp_point <= mp_band[1]

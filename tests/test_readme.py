@@ -1,12 +1,15 @@
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from mplm import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "mplm"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
 SH_LINES = [shlex.split(line, comments=True)
             for block in re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
@@ -36,3 +39,21 @@ def test_readme_cli_example_parses(argv):
     # the README was written fails here
     args = cli._build_parser(()).parse_args(argv)
     assert args.subcommand == argv[0]
+
+
+def test_every_top_level_name_has_a_use_outside_the_tests():
+    # a def or class that only tests and the package's re-exports name is a
+    # test oracle: it belongs in tests/, not in the package
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    others = [path for folder in ("perfbench", "tools")
+              for path in sorted((ROOT / folder).rglob("*"))
+              if path.is_file() and "__pycache__" not in path.parts]
+    lines_naming = Counter()  # word -> lines that name it
+    for path in modules + [README] + others:
+        for line in path.read_text(errors="replace").splitlines():
+            lines_naming.update(set(re.findall(r"\w+", line)))
+    defined = [name for path in modules
+               for name in re.findall(r"^(?:def|class) (\w+)", path.read_text(), re.M)]
+    # the definition's own line is one of the lines that name it
+    unused = [name for name in defined if lines_naming[name] <= 1]
+    assert not unused, f"only tests use {', '.join(unused)}"
