@@ -15,8 +15,7 @@ from .dynamics import (
     simulate_mp,
     simulate_mp_batch,
 )
-from .estimators import (BatchEstimate, EstimateResult, RegressionBand, estimate, estimate_batch,
-                         ols_slope)
+from .estimators import BatchEstimate, EstimateResult, estimate, estimate_batch, ols_slope
 from .montecarlo import ExperimentSpec, McSummary, preset_experiment, run_experiment, summarize
 from .partial_sums import ScalingFit, scaling_exponent, var_partial_sum
 from .spectral import (LagWindowSpec, lag_window_weight, periodogram, sample_acv,

@@ -188,8 +188,8 @@ def _cmd_spectrum(args):
 
 def _cmd_estimate(args):
     x = _read_series(args.infile)
-    config = {key: getattr(args, key) for key in ("block_exponent", "freq_index")
-              if getattr(args, key) is not None}
+    keys = sorted({key for taken in METHOD_KEYWORDS.values() for key in taken})
+    config = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     rejected = [f"--{key.replace('_', '-')}" for key in config
                 if key not in METHOD_KEYWORDS[args.method]]
     if rejected:
@@ -238,7 +238,8 @@ def _spec_from_file(path: str) -> ExperimentSpec:
         field("methods", str.strip, many=True), field("replications", int, 200),
         base_seed=field("seed", int, DEFAULT_BASE_SEED),
         model=fields.get("model", "mp"),
-        observable=ObservableSpec(*_parse_interval(fields.get("interval", "0.1,0.9"))),
+        observable=field("interval", lambda text: ObservableSpec(*_parse_interval(text)),
+                         "0.1,0.9"),
         burn_in=field("burn_in", int, 0),
     )
 
@@ -248,8 +249,11 @@ def _cmd_montecarlo(args):
     if (args.preset is None) == (args.spec is None):
         raise ValueError("give exactly one of --preset or --spec")
     if args.preset is not None:
-        spec = preset_experiment(args.preset, args.scale, base_seed=args.seed)
+        scale = 1.0 if args.scale is None else args.scale
+        spec = preset_experiment(args.preset, scale, base_seed=args.seed)
         name = args.preset
+    elif args.scale is not None:  # a spec file gives its own replications
+        raise ValueError("--scale (or MPLM_SCALE) applies to --preset runs only, not --spec")
     else:
         spec = _spec_from_file(args.spec)
         name = "results"
@@ -263,11 +267,12 @@ def _cmd_montecarlo(args):
             print(f"cell s={row.s} N={row.n} {row.method}: failed "
                   f"({row.invalid_count}/{row.replications} invalid)", file=sys.stderr)
     params = {
-        "preset": args.preset, "spec": args.spec, "scale": args.scale,
-        "threads": args.threads, "out_dir": args.out_dir, "s_values": list(spec.s_values),
-        "n_values": list(spec.n_values), "methods": list(spec.methods),
-        "replications": spec.replications, "model": spec.model,
+        "preset": args.preset, "spec": args.spec, "threads": args.threads,
+        "out_dir": args.out_dir, "s_values": list(spec.s_values), "n_values": list(spec.n_values),
+        "methods": list(spec.methods), "replications": spec.replications, "model": spec.model,
     }
+    if args.preset is not None:
+        params["scale"] = scale
     if spec.model != "markov":  # the chain starts from its stationary law
         params.update(burn_in=spec.burn_in, interval=list(spec.observable.interval))
     extra = {"wall_seconds": round(time.monotonic() - wall_start, 3), "output_csv": csv_path}
@@ -334,7 +339,7 @@ def _build_parser(env: tuple) -> _Parser:
     p = sub.add_parser("montecarlo", help="replication study over a grid of cells")
     _flag(p, env, "--spec")
     _flag(p, env, "--preset")
-    _flag(p, env, "--scale", 1.0, type=float)
+    _flag(p, env, "--scale", type=float)
     _flag(p, env, "--seed", DEFAULT_BASE_SEED, type=int)
     _flag(p, env, "--threads", type=int)
     _flag(p, env, "--out-dir", ".")

@@ -30,13 +30,15 @@ on chunks of rows, joins the arrays and inverts them once, into a
 ``BatchEstimate`` of per-row arrays.  ``estimate`` is row 0 of a one-row
 batch, and the scalar inversions (``s_from_spectral_ordinates`` ...
 ``holder_from_ordinates``) are views of the same inversions.
-``estimate(x, name, **config)`` is the one entry point for a single series:
-a method's keyword arguments are listed in ``METHOD_KEYWORDS``.
+``estimate(x, name, **config)`` is the one entry point for a single series;
+each method is one fixed recipe, and ``METHOD_KEYWORDS`` lists the only keys:
+``block_exponent`` of ``varmp`` and ``freq_index`` of ``p`` and ``sp``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -68,20 +70,6 @@ NON_FINITE = "series has a non-finite value"
 # 63.3 MB with 2**15, 63.1 with 2**17, 72.2 with each cell's rows in one
 # piece (63.0 when every row was estimated alone).
 CHUNK_VALUES = 1 << 15
-
-
-@dataclass(frozen=True)
-class RegressionBand:
-    """Low-frequency regression band: the lowest floor(N**alpha) ordinates."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"band exponent must lie in (0, 1), got {self.alpha}")
-
-    def size(self, n: int) -> int:
-        return int(math.floor(n**self.alpha + 1e-9))
 
 
 @dataclass(eq=False)
@@ -246,14 +234,14 @@ def _spectral_inversion(ordinates: np.ndarray, method: str, **shared) -> BatchEs
                    diagnostics, shared)
 
 
-def s_from_spectral_ordinates(ordinates: np.ndarray, method: str = "perio") -> EstimateResult:
+def s_from_spectral_ordinates(ordinates: np.ndarray) -> EstimateResult:
     """Slope of log-ordinates on log-index over a low-frequency band.
 
     ``ordinates[j-1]`` is the value at the j-th Fourier frequency; the
     regression runs over all of them (callers slice the band).  Inverts
     s = 1/(slope + 2); slopes at or below -2 are flagged invalid.
     """
-    return _spectral_inversion(np.asarray(ordinates, dtype=np.float64)[None], method).result(0)
+    return _spectral_inversion(np.asarray(ordinates, dtype=np.float64)[None], "perio").result(0)
 
 
 def _check_band_length(n: int) -> None:
@@ -261,22 +249,20 @@ def _check_band_length(n: int) -> None:
         raise ValueError(f"need at least 16 observations, got {n}")
 
 
-def _band_statistic(x: np.ndarray, band: RegressionBand = RegressionBand(0.5),
-                    window: str | None = None, truncation: int | None = None):
-    # the band of the centred periodogram (window None) or of a lag-window
-    # spectrum; default truncation floor(N**0.9) for parzen, floor(N**(1 - alpha))
-    # for the cosine bell, whose kernel then spans about as many Fourier bins
-    # as the band holds: the pairing that keeps the band-wide regression stable
+def _band_statistic(x: np.ndarray, alpha: float, window: str | None):
+    # the band h = 1..floor(N**alpha) of the centred periodogram (window None) or of a
+    # lag-window spectrum, truncated at floor(N**0.9) for parzen and floor(N**(1 - alpha))
+    # for the cosine bell, whose kernel then spans about as many Fourier bins as the
+    # band holds: the pairing that keeps the band-wide regression stable
     n = x.shape[1]
     _check_band_length(n)
-    g = band.size(n)
+    g = int(math.floor(n**alpha + 1e-9))
     if window is None:
-        return (periodogram_band(x, np.arange(1, g + 1)),), {"band_alpha": band.alpha}
-    if truncation is None:
-        truncation = (default_truncation(n) if window == "parzen" else
-                      max(2, int(math.floor(n ** (1.0 - band.alpha) + 1e-9))))
+        return (periodogram_band(x, np.arange(1, g + 1)),), {"band_alpha": alpha}
+    truncation = (default_truncation(n) if window == "parzen" else
+                  max(2, int(math.floor(n ** (1.0 - alpha) + 1e-9))))
     return ((lag_window_band(x, LagWindowSpec(window, truncation), g),),
-            {"band_alpha": band.alpha, "truncation": truncation})
+            {"band_alpha": alpha, "truncation": truncation})
 
 
 def _varmp_inversion(vhat: np.ndarray, method: str, block_length: int,
@@ -299,10 +285,9 @@ def _varmp_inversion(vhat: np.ndarray, method: str, block_length: int,
                    {"block_length": invalid, "block_variance": invalid})
 
 
-def varmp_from_block_variance(vhat: float, block_length: int,
-                              method: str = "varmp") -> EstimateResult:
+def varmp_from_block_variance(vhat: float, block_length: int) -> EstimateResult:
     """Invert the block-sum variance law Var ~ L**(3 - 1/s)."""
-    return _varmp_inversion(np.array([vhat], dtype=np.float64), method, block_length).result(0)
+    return _varmp_inversion(np.array([vhat], dtype=np.float64), "varmp", block_length).result(0)
 
 
 def _block_layout(n: int, block_exponent: float = 0.7) -> tuple[int, int]:
@@ -336,7 +321,7 @@ def _block_variance(x: np.ndarray, block_exponent: float = 0.7):
 
 @lru_cache(maxsize=64)
 def default_block_grid(n: int) -> np.ndarray:
-    """Geometric grid of 10 block lengths between N**0.3 and N**0.7 (read-only)."""
+    """Up to 10 geometric block lengths in [N**0.3, N**0.7], each giving 8 blocks (read-only)."""
     lo = max(2, int(math.floor(n**0.3 + 1e-9)))
     hi = max(lo + 10, int(math.floor(n**0.7 + 1e-9)))
     raw = np.floor(np.exp(np.linspace(math.log(lo), math.log(hi), 10))).astype(int)
@@ -344,6 +329,8 @@ def default_block_grid(n: int) -> np.ndarray:
     # ExperimentSpec runs this for every preset while the package imports
     grid = np.array(sorted(set(raw.tolist())))
     grid = grid[n // grid >= 8]
+    if grid.size < 4:
+        raise ValueError(f"need at least 4 block sizes, got {grid.size}")
     grid.flags.writeable = False
     return grid
 
@@ -368,23 +355,14 @@ def _vpmp_inversion(variances: np.ndarray, method: str, sizes, **shared) -> Batc
                    {"memory_d": degenerate, "intercept": degenerate})
 
 
-def vpmp_from_variances(sizes, variances, method: str = "vpmp") -> EstimateResult:
+def vpmp_from_variances(sizes, variances) -> EstimateResult:
     """Variance-plot inversion: slope beta -> d = (beta+1)/2 -> s."""
-    return _vpmp_inversion(np.asarray(variances, dtype=np.float64)[None], method, sizes).result(0)
+    return _vpmp_inversion(np.asarray(variances, dtype=np.float64)[None], "vpmp", sizes).result(0)
 
 
-def _block_grid(n: int, block_sizes=None) -> np.ndarray:
-    grid = np.asarray(block_sizes, dtype=int) if block_sizes is not None else default_block_grid(n)
-    if grid.size < 4:
-        raise ValueError(f"need at least 4 block sizes, got {grid.size}")
-    if np.any(n // grid < 8):
-        raise ValueError("every block size must allow 8 disjoint blocks")
-    return grid
-
-
-def _variance_plot(x: np.ndarray, block_sizes=None):
+def _variance_plot(x: np.ndarray):
     # block-mean variances over a geometric grid of block lengths
-    grid = _block_grid(x.shape[1], block_sizes)
+    grid = default_block_grid(x.shape[1])
     variances = np.empty((x.shape[0], grid.size))
     for i, k in enumerate(grid.tolist()):
         variances[:, i] = _row_variances(_block_sums(x, k) / k)
@@ -409,9 +387,9 @@ def _wmp_inversion(values: np.ndarray, method: str, levels: np.ndarray) -> Batch
                    {"floored_levels": floored, "memory_d": d}, {"levels": levels})
 
 
-def wmp_from_ladder(levels, values, method: str = "wmp-haar") -> EstimateResult:
+def wmp_from_ladder(levels, values) -> EstimateResult:
     """Closed-form wavelet estimate from a variance ladder (see ``_wmp_inversion``)."""
-    return _wmp_inversion(np.asarray(values)[None], method, np.asarray(levels)).result(0)
+    return _wmp_inversion(np.asarray(values)[None], "wmp-haar", np.asarray(levels)).result(0)
 
 
 def _ladder(x: np.ndarray, basis: WaveletBasis):
@@ -431,48 +409,44 @@ def holder_from_ordinates(origin_value: float, ordinate: float, freq: float) -> 
     return a, not math.isnan(a)
 
 
-def _holder_indices(n: int, freq_index: int = 1, average_count: int | None = None) -> np.ndarray:
-    if not 1 <= freq_index < n // 2:
-        raise ValueError(f"frequency index must lie in [1, {n // 2}), got {freq_index}")
-    if average_count is not None and not 1 <= average_count < n // 2:
-        raise ValueError(f"average count must lie in [1, {n // 2}), got {average_count}")
-    return np.array([freq_index]) if average_count is None else np.arange(1, average_count + 1)
+def _holder_index(n: int, freq_index: int = 1) -> int:
+    try:
+        j = operator.index(freq_index)
+    except TypeError:
+        raise ValueError(f"frequency index must be an integer, got {freq_index!r}") from None
+    if not 1 <= j < n // 2:
+        raise ValueError(f"frequency index must lie in [1, {n // 2}), got {j}")
+    return j
 
 
-def _holder_statistic(x, smoothing: str, freq_index: int = 1, average_count: int | None = None):
-    # the gap |f(0) - f(w_j)| at the single index freq_index, or at each of
-    # j = 1..average_count; the statistics centre the rows themselves: the
-    # raw periodogram then vanishes at frequency 0 and is its own gap, while
-    # the Parzen spectrum gives its gap to frequency 0 directly
+def _holder_statistic(x, smoothing: str, freq_index: int = 1):
+    # the gap |f(0) - f(w_j)| at j = freq_index; the statistics centre the
+    # rows themselves: the raw periodogram then vanishes at frequency 0 and is
+    # its own gap, while the Parzen spectrum gives its gap to frequency 0 directly
     rows, n = x.shape
-    indices = _holder_indices(n, freq_index, average_count)
+    j = _holder_index(n, freq_index)
     if smoothing == "none":
-        origin, gaps = np.zeros(rows), periodogram_band(x, indices)
+        origin, gaps = np.zeros(rows), periodogram_band(x, [j])[:, 0]
     else:
-        origin, gaps = lag_window_gaps(x, LagWindowSpec("parzen", default_truncation(n)),
-                                       indices)
-    return (origin, gaps), {"indices": indices, "freqs": 2.0 * np.pi * indices / n}
+        origin, gaps = lag_window_gaps(x, LagWindowSpec("parzen", default_truncation(n)), j)
+    return (origin, gaps), {"j": j, "freq": 2.0 * np.pi * j / n}
 
 
-def _holder_inversion(origin: np.ndarray, gaps: np.ndarray, method: str, indices: np.ndarray,
-                      freqs: np.ndarray) -> BatchEstimate:
-    """Mean over j of 1 / (a_j + 2) on each row, a_j the exponent of its j-th gap."""
-    exponents = _holder_exponents(gaps, freqs)
+def _holder_inversion(origin: np.ndarray, gaps: np.ndarray, method: str, j: int,
+                      freq: float) -> BatchEstimate:
+    """1 / (a + 2) on each row, a the exponent of its gap at w_j."""
+    exponents = _holder_exponents(gaps, freq)
     shifted = exponents + 2.0
-    bad = ~(shifted > 0.0)  # a <= -2, or no exponent where the gap vanished
-    invalid = bad.any(axis=1)
+    invalid = ~(shifted > 0.0)  # a <= -2, or no exponent where the gap vanished
 
     def reason_of(i):
-        first = bad[i].argmax()  # the row's first failing index
-        if np.isnan(exponents[i, first]):
-            return f"spectrum gap vanishes at index {indices[first]}"
-        return f"regularity exponent {exponents[i, first]:.6g} <= -2"
+        if np.isnan(exponents[i]):
+            return f"spectrum gap vanishes at index {j}"
+        return f"regularity exponent {exponents[i]:.6g} <= -2"
 
-    # the slope is the mean a_j, which an invalid row keeps unless a gap vanished
-    count = indices.size
-    estimates = 1.0 / np.where(bad, np.nan, shifted)
-    return _finish(method, estimates.sum(axis=1) / count, exponents.sum(axis=1) / count, count,
-                   invalid, reason_of, {"origin_ordinate": origin}, {"freq_indices": indices},
+    # the slope is the exponent, which an invalid row keeps unless its gap vanished
+    return _finish(method, 1.0 / np.where(invalid, np.nan, shifted), exponents, 1, invalid,
+                   reason_of, {"origin_ordinate": origin}, {"freq_indices": np.array([j])},
                    {"origin_ordinate": invalid, "freq_indices": invalid})
 
 
@@ -483,23 +457,20 @@ def _holder_inversion(origin: np.ndarray, gaps: np.ndarray, method: str, indices
 # arguments, which depend on N and the configuration alone.
 _BAND, _SPECTRAL = _band_statistic, _spectral_inversion
 _METHODS = {
-    "perio": (_BAND, _SPECTRAL, {}, ("band",), _check_band_length),
-    "parzen": (_BAND, _SPECTRAL, {"window": "parzen"}, ("band", "truncation"),
-               _check_band_length),
-    "cos1": (_BAND, _SPECTRAL, {"band": RegressionBand(0.5), "window": "cosbell"},
-             ("truncation",), _check_band_length),
-    "cos2": (_BAND, _SPECTRAL, {"band": RegressionBand(0.7), "window": "cosbell"},
-             ("truncation",), _check_band_length),
+    "perio": (_BAND, _SPECTRAL, {"alpha": 0.5, "window": None}, (), _check_band_length),
+    "parzen": (_BAND, _SPECTRAL, {"alpha": 0.5, "window": "parzen"}, (), _check_band_length),
+    "cos1": (_BAND, _SPECTRAL, {"alpha": 0.5, "window": "cosbell"}, (), _check_band_length),
+    "cos2": (_BAND, _SPECTRAL, {"alpha": 0.7, "window": "cosbell"}, (), _check_band_length),
     "varmp": (_block_variance, _varmp_inversion, {}, ("block_exponent",), _block_layout),
-    "vpmp": (_variance_plot, _vpmp_inversion, {}, ("block_sizes",), _block_grid),
+    "vpmp": (_variance_plot, _vpmp_inversion, {}, (), default_block_grid),
     "wmp-haar": (_ladder, _wmp_inversion, {"basis": WaveletBasis.HAAR}, (),
                  _require_ladder_length),
     "wmp-mexhat": (_ladder, _wmp_inversion, {"basis": WaveletBasis.MEXICAN_HAT}, (),
                    _require_ladder_length),
-    "p": (_holder_statistic, _holder_inversion, {"smoothing": "none"},
-          ("freq_index", "average_count"), _holder_indices),
-    "sp": (_holder_statistic, _holder_inversion, {"smoothing": "parzen"},
-           ("freq_index", "average_count"), _holder_indices),
+    "p": (_holder_statistic, _holder_inversion, {"smoothing": "none"}, ("freq_index",),
+          _holder_index),
+    "sp": (_holder_statistic, _holder_inversion, {"smoothing": "parzen"}, ("freq_index",),
+           _holder_index),
 }
 METHOD_NAMES = tuple(_METHODS)
 METHOD_KEYWORDS = {name: entry[3] for name, entry in _METHODS.items()}  # the keywords each takes

@@ -11,14 +11,15 @@ cosine-bell (Tukey-Hanning) lag window before the cosine sum; the cosine
 bell can produce negative ordinates, which downstream log-regressions clamp
 and count.
 
-``periodogram_band``, ``lag_window_band`` and ``lag_window_gaps`` compute a
-band of the grid for every row of a (rows, N) array at once, and return
-(rows, ...) arrays: a few ordinates from a product with a cached table of
-cosines and sines, a wider band from one real-input FFT per row sliced to
-it.  ``periodogram`` is one series' band over h = 1..N-1 plus the h = N
-alias, and ``smoothed_periodogram`` the transform route over h = 1..N.  The
-gap between the smoothed spectrum at frequency 0 and at w_j is formed
-directly as (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)), with c_k the weighted
+``periodogram_band`` and ``lag_window_band`` compute a band of the grid for
+every row of a (rows, N) array at once, and return (rows, ...) arrays: a few
+ordinates from a product with a cached table of cosines and sines, a wider
+band from one real-input FFT per row sliced to it.  ``periodogram`` is one
+series' band over h = 1..N-1 plus the h = N alias, and
+``smoothed_periodogram`` the transform route over h = 1..N.
+``lag_window_gaps`` gives each row's gap between the smoothed spectrum at
+frequency 0 and at the one index j that ``sp`` reads, formed directly as
+(1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)), with c_k the weighted
 autocovariances and 1 - cos(w_j k) = 2 sin(w_j k / 2)**2, so it keeps its
 relative precision where the two ordinates nearly agree.
 
@@ -251,8 +252,8 @@ def smoothed_periodogram(series, spec: LagWindowSpec) -> np.ndarray:
 # with the caches evicted first: rfft 0.55-0.89 ms, 8N 0.24 ms, 32N 0.42 ms.
 # 8 keeps a clear margin either way.  A table also holds at most
 # TABLE_LIMIT entries (1 MB), so the three table caches below keep at most
-# 3 * 8 * 1 MB whatever N is: a larger band takes the FFT, and a row of
-# ``lag_window_gaps`` wider than that is built for the call alone.  At
+# 3 * 8 * 1 MB whatever N is: a larger band takes the FFT, and a
+# ``lag_window_gaps`` row wider than that is built for the call alone.  At
 # N = 8192..32768 the cos1 and cos2 bands (about N entries) and p's single
 # index (2N) take the product, parzen's band (about 60N) and perio's the FFT.
 PRODUCT_LIMIT = 8
@@ -273,13 +274,6 @@ def _row_products(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     product per row gives each row the same values whatever batch it is in.
     """
     return (x[:, None, :] @ table.T)[:, 0, :]
-
-
-def _fourier_indices(indices, n: int) -> np.ndarray:
-    h = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if h.size < 1 or h.min() < 1 or h.max() >= n:
-        raise ValueError(f"Fourier indices must lie in [1, {n}), got {h.tolist()}")
-    return h
 
 
 @lru_cache(maxsize=8)
@@ -305,10 +299,10 @@ def _cosine_table(n: int, g: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _half_angle_table(n: int, indices: tuple[int, ...], m: int) -> np.ndarray:
-    """1 - cos(w_j k) = 2 sin(pi j k / n)**2 for each j (rows) and k = 1..m."""
-    phase = (np.pi / n) * (np.outer(indices, np.arange(1, m + 1)) % n)
-    table = 2.0 * np.sin(phase) ** 2
+def _half_angle_table(n: int, j: int, m: int) -> np.ndarray:
+    """1 - cos(w_j k) = 2 sin(pi j k / n)**2 for k = 1..m, as one (1, m) row."""
+    phase = (np.pi / n) * ((j * np.arange(1, m + 1)) % n)
+    table = 2.0 * np.sin(phase[None]) ** 2
     table.flags.writeable = False
     return table
 
@@ -322,7 +316,9 @@ def periodogram_band(x, indices) -> np.ndarray:
     (``_max_table``), else off one rfft per row at min(h, N - h).
     """
     n = x.shape[1]
-    h = _fourier_indices(indices, n)
+    h = np.asarray(indices).reshape(-1)
+    if h.dtype.kind not in "iu" or h.size < 1 or h.min() < 1 or h.max() >= n:
+        raise ValueError(f"Fourier indices must be integers in [1, {n}), got {h.tolist()}")
     xc = _centred(x)
     if 2 * h.size * n <= _max_table(n):
         f = _row_products(xc, _dft_table(n, tuple(h.tolist())))
@@ -350,23 +346,20 @@ def lag_window_band(x, spec: LagWindowSpec, g: int) -> np.ndarray:
     return _lag_half(c, n)[:, np.minimum(h, n - h)]
 
 
-def lag_window_gaps(x, spec: LagWindowSpec, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Lag-window spectrum of each row of x at frequency 0, and its drop f(0) - f(w_j) at each j.
+def lag_window_gaps(x, spec: LagWindowSpec, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-window spectrum of each row of x at frequency 0, and its drop f(0) - f(w_j).
 
-    Shapes (rows,) and (rows, len(j)).  f(0) = (c_0 + 2 sum_k c_k) / 2 pi,
-    and the drop is formed directly as (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k))
-    from a cached table of 2 sin(w_j k / 2)**2, in blocks of as many table
-    rows as ``_max_table`` allows (one uncached row at a time when a single
-    row does not fit).  Subtracting two computed ordinates instead would
-    cancel when they nearly agree, as they do next to frequency 0.
+    Both of shape (rows,).  f(0) = (c_0 + 2 sum_k c_k) / 2 pi, and the drop
+    is formed directly as (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)) from a
+    table of 2 sin(w_j k / 2)**2, cached while its m entries fit
+    (``_max_table``) and built for the call alone above that.  Subtracting
+    two computed ordinates instead would cancel when they nearly agree, as
+    they do next to frequency 0.
     """
     n = x.shape[1]
-    j = _fourier_indices(indices, n)
+    if np.asarray(j).dtype.kind not in "iu" or not 1 <= j < n:
+        raise ValueError(f"Fourier index must be an integer in [1, {n}), got {j}")
     c = _weighted_acv(x, spec)
     origin = (c[:, 0] + 2.0 * c[:, 1:].sum(axis=1)) / (2.0 * np.pi)
-    per_block = _max_table(n) // spec.m
-    table = _half_angle_table if per_block else _half_angle_table.__wrapped__
-    step = max(1, per_block)
-    drops = [_row_products(c[:, 1:], table(n, tuple(j[i:i + step].tolist()), spec.m))
-             for i in range(0, j.size, step)]
-    return origin, np.concatenate(drops, axis=1) / np.pi
+    table = _half_angle_table if spec.m <= _max_table(n) else _half_angle_table.__wrapped__
+    return origin, _row_products(c[:, 1:], table(n, j, spec.m))[:, 0] / np.pi

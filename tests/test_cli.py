@@ -11,7 +11,7 @@ import pytest
 import mplm
 from mplm import cli, dynamics
 from mplm.cli import main
-from mplm.estimators import METHOD_NAMES
+from mplm.estimators import METHOD_KEYWORDS, METHOD_NAMES
 from mplm.spectral import periodogram
 
 
@@ -222,6 +222,24 @@ def test_failed_montecarlo_run_leaves_no_output_directory(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_montecarlo_scale_applies_to_presets_only(tmp_path, monkeypatch, capsys):
+    # a spec file gives its own replications, so a scale given with it, by
+    # flag or by MPLM_SCALE, would be recorded and ignored: it exits 1 instead
+    spec = tmp_path / "run.spec"
+    spec.write_text("s=0.8\nn=1024\nmethods=perio\nreplications=1\n")
+    out_dir = tmp_path / "out"
+    argv = ["montecarlo", "--spec", str(spec), "--out-dir", str(out_dir)]
+    assert run_cli(argv + ["--scale", "0.25"]) == 1
+    assert "--scale" in capsys.readouterr().err
+    with monkeypatch.context() as patch:
+        patch.setenv("MPLM_SCALE", "0.25")
+        assert run_cli(argv) == 1
+    assert "--scale" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert run_cli(argv) == 0
+    assert "scale" not in json.loads((out_dir / "manifest.json").read_text())["parameters"]
+
+
 def test_montecarlo_requires_exactly_one_source(tmp_path):
     assert run_cli(["montecarlo"]) == 1
     assert run_cli(["montecarlo", "--preset", "table51", "--spec", "x"]) == 1
@@ -329,6 +347,15 @@ def test_estimate_flags_reach_the_method(tmp_path, capsys):
             else:
                 assert rc == 1, (method, flag)
                 assert flag in err and method in err
+
+
+def test_estimate_has_one_flag_per_method_keyword():
+    # the estimate subcommand's tuning flags are the methods' keywords, one
+    # each, so a keyword no caller sets cannot stay behind unnoticed
+    sub = next(a for a in cli._build_parser(())._actions if a.dest == "subcommand")
+    dests = [a.dest for a in sub.choices["estimate"]._actions
+             if a.dest not in ("help", "infile", "method", "json")]
+    assert sorted(dests) == sorted({k for keys in METHOD_KEYWORDS.values() for k in keys})
 
 
 def test_spectrum_rejects_m_without_smoothing(tmp_path, monkeypatch, capsys):
@@ -486,10 +513,14 @@ def test_bad_interval_and_grid_values_give_the_reason(argv, env, reason, monkeyp
 
 
 def test_spec_file_bad_interval_exits_one(tmp_path, capsys):
+    # named by file and key, as every other spec value is
     spec = tmp_path / "run.spec"
-    spec.write_text("s=0.8\nn=256\nmethods=perio\ninterval=0.1\n")
-    assert run_cli(["montecarlo", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "mplm: expected lo,hi, got '0.1'\n"
+    for interval, reason in (("0.1", "expected lo,hi, got '0.1'"),
+                             ("0.9,0.1", "need 0 <= lo < hi <= 1, got (0.9, 0.1)")):
+        spec.write_text(f"s=0.8\nn=256\nmethods=perio\ninterval={interval}\n")
+        assert run_cli(["montecarlo", "--spec", str(spec),
+                        "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"mplm: {spec}: interval={interval}: {reason}\n"
 
 
 # ---------------------------------------------------------------------------

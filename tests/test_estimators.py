@@ -18,8 +18,8 @@ from mplm.dynamics import simulate_mp, simulate_mp_batch
 from mplm.estimators import (
     METHOD_NAMES,
     EstimateResult,
-    RegressionBand,
     check_length,
+    default_block_grid,
     estimate,
     estimate_batch,
     holder_from_ordinates,
@@ -207,8 +207,8 @@ SCALAR_VIEWS = {
         {"clamped_ordinates": 0, "r_squared": 1.0000000000000004,
          "intercept": 2.220446049250313e-16})),
     "spectral-clamped": (lambda: s_from_spectral_ordinates(
-        np.where(_J == 4.0, 0.0, _J ** -0.5), "cos1"), EstimateResult(
-        "cos1", 0.292160682464291, 1.422774041891225, 16,
+        np.where(_J == 4.0, 0.0, _J ** -0.5)), EstimateResult(
+        "perio", 0.292160682464291, 1.422774041891225, 16,
         {"clamped_ordinates": 1, "r_squared": 0.017868248201398658,
          "intercept": -5.801292852677606})),
     "spectral-invalid": (lambda: s_from_spectral_ordinates(_J ** -2.5), EstimateResult(
@@ -237,8 +237,8 @@ SCALAR_VIEWS = {
                            {"floored_levels": 0, "memory_d": 0.25000000000000017,
                             "levels": [4, 5, 6, 7, 8]})),
     "wmp-floored": (lambda: wmp_from_ladder(
-        _LEVELS, np.array([1.0, 0.5, 0.0, 0.2, 0.1]), "wmp-mexhat"),
-        EstimateResult("wmp-mexhat", 0.8309639976998875, 0.3982892142331045, 5,
+        _LEVELS, np.array([1.0, 0.5, 0.0, 0.2, 0.1])),
+        EstimateResult("wmp-haar", 0.8309639976998875, 0.3982892142331045, 5,
                        {"floored_levels": 1, "memory_d": 0.3982892142331045,
                         "levels": [4, 5, 6, 7, 8]})),
     "wmp-memory": (lambda: wmp_from_ladder(_LEVELS, 2.0 ** (-3.0 * _LEVELS)),
@@ -299,21 +299,25 @@ def test_regression_methods_are_scale_invariant(mp_series):
 
 
 def test_estimate_rejects_unknown_config_key(mp_series):
+    # a typo, and the keys of the band, truncation, block grid and averaging
+    # that the methods no longer take, in the single and the batch entry point
+    unknown = {"block_exponent_typo": 0.5, "band": 0.6, "truncation": 20,
+               "block_sizes": [8, 16, 32, 64], "average_count": 5}
     for method in METHOD_NAMES:
-        with pytest.raises(TypeError):
-            estimate(mp_series, method, block_exponent_typo=0.5)
+        for key, value in unknown.items():
+            for run in (estimate, estimate_batch):
+                with pytest.raises(TypeError, match=key):
+                    run(mp_series, method, **{key: value})
     for method in set(METHOD_NAMES) - {"varmp"}:
         with pytest.raises(TypeError):
             estimate(mp_series, method, block_exponent=0.5)
 
 
 def test_estimate_fixed_arguments_cannot_be_overridden(mp_series):
-    overrides = {"method": "perio", "band": RegressionBand(0.6), "basis": "mexhat",
+    overrides = {"method": "perio", "alpha": 0.6, "window": "parzen", "basis": "mexhat",
                  "smoothing": "parzen"}
     for method in METHOD_NAMES:
         for key, value in overrides.items():
-            if key == "band" and method in ("perio", "parzen"):
-                continue  # the regression band is a tuning key of these two
             with pytest.raises(TypeError):
                 estimate(mp_series, method, **{key: value})
 
@@ -347,11 +351,14 @@ def test_varmp_invalid_on_constant_series():
     assert not result.valid
 
 
-def test_vpmp_grid_validation(mp_series):
-    with pytest.raises(ValueError):
-        estimate(mp_series, "vpmp", block_sizes=[4, 8])
-    with pytest.raises(ValueError):
-        estimate(np.ones(100), "vpmp", block_sizes=[2, 4, 8, 50])
+def test_vpmp_grid_validation():
+    # N = 48 is the shortest series whose grid keeps 4 sizes of 8 blocks each;
+    # below it the grid and the estimate raise alike
+    assert default_block_grid(48).tolist() == [3, 4, 5, 6]
+    assert estimate(np.ones(48), "vpmp").points_used == 4
+    for call in (lambda: default_block_grid(47), lambda: estimate(np.ones(47), "vpmp")):
+        with pytest.raises(ValueError, match="need at least 4 block sizes, got 3"):
+            call()
 
 
 def test_varmp_iid_bernoulli_near_half():
@@ -379,13 +386,14 @@ def test_vpmp_iid_bernoulli_near_half():
 def test_holder_pipeline_and_averaging(mp_series):
     single = estimate(mp_series, "p")
     assert single.points_used == 1
-    averaged = estimate(mp_series, "p", average_count=5)
-    assert averaged.points_used == 5
     smoothed = estimate(mp_series, "sp")
     assert smoothed.method == "sp"
     assert smoothed.diagnostics["origin_ordinate"] > 0.0
-    with pytest.raises(ValueError):
-        estimate(mp_series, "p", freq_index=0)
+    # index N // 2 and above would read mirrored ordinates past Nyquist
+    for method in ("p", "sp"):
+        for j in (0, mp_series.size // 2):
+            with pytest.raises(ValueError, match=rf"must lie in \[1, {mp_series.size // 2}\)"):
+                estimate(mp_series, method, freq_index=j)
     # the band statistics against the full-grid spectra: the gap at w_j,
     # read back from s_hat, within 1e-13 of the largest ordinate (an exponent
     # at or below -2, as near Nyquist, must be invalid on both)
@@ -405,21 +413,19 @@ def test_holder_pipeline_and_averaging(mp_series):
                 continue
             gap = math.exp((1.0 / result.s_hat - 2.0) * math.log(freqs[j - 1]))
             assert abs(gap - full_gap) <= 1e-13 * largest[method], (method, j)
-        count = 40
-        exponents = np.log(np.abs(full_gaps[method][:count])) / np.log(freqs[:count])
-        averaged = estimate(x, method, average_count=count)
-        assert_allclose(averaged.s_hat, np.mean(1.0 / (exponents + 2.0)), rtol=1e-12)
 
 
-def test_holder_rejects_average_count_out_of_range(mp_series):
-    # -1 and 0 once fell through to an empty average (s_hat nan, valid) or to
-    # freq_index; N // 2 and above read mirrored ordinates past Nyquist
-    half = mp_series.size // 2
+def test_holder_frequency_index_must_be_an_integer(mp_series):
+    # 1.5 once read the ordinate at index 1 but took the log of the frequency
+    # at 1.5, and returned a valid estimate; a float is rejected even when it
+    # is whole, and a numpy integer is taken as its value
     for method in ("p", "sp"):
-        for count in (-1, 0, half, half + 1):
-            with pytest.raises(ValueError, match=rf"average count must lie in \[1, {half}\)"):
-                estimate(mp_series, method, average_count=count)
-        assert estimate(mp_series, method, average_count=half - 1).points_used == half - 1
+        for index in (1.5, 2.0):
+            for run in (estimate, estimate_batch):
+                with pytest.raises(ValueError, match="frequency index must be an integer"):
+                    run(mp_series, method, freq_index=index)
+        want = estimate(mp_series, method, freq_index=2)
+        assert estimate(mp_series, method, freq_index=np.int64(2)).s_hat == want.s_hat
 
 
 @pytest.mark.parametrize("s,n,seed", [(0.4, 4096, 47), (0.4, 1000, 80), (0.3, 4096, 43)])
@@ -499,15 +505,6 @@ def test_cos_band_and_default_truncation(mp_series):
 def test_parzen_default_truncation(mp_series):
     result = estimate(mp_series, "parzen")
     assert result.diagnostics["truncation"] == int(mp_series.size**0.9)
-
-
-def test_regression_band_validation():
-    with pytest.raises(ValueError):
-        RegressionBand(0.0)
-    with pytest.raises(ValueError):
-        RegressionBand(1.0)
-    assert RegressionBand(0.5).size(10_000) == 100
-    assert RegressionBand(0.7).size(10_000) == 630
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +666,8 @@ def _mixed_rows(n):
 
 
 BATCH_CASES = [(method, {}) for method in METHOD_NAMES] + [
-    ("p", {"freq_index": "nyquist"}), ("sp", {"average_count": 5}),
-    ("varmp", {"block_exponent": 0.6}), ("vpmp", {"block_sizes": [8, 16, 32, 64]})]
+    ("p", {"freq_index": "nyquist"}), ("sp", {"freq_index": "nyquist"}),
+    ("varmp", {"block_exponent": 0.6})]
 
 
 @pytest.mark.parametrize("n", [1001, 4096, 30000])  # odd, a power of two, even non-power
@@ -757,7 +754,7 @@ def test_estimate_batch_input_and_config_checks():
     with pytest.raises(TypeError, match="block_exponent"):
         estimate_batch(rows, "perio", block_exponent=0.5)
     with pytest.raises(TypeError):
-        estimate_batch(rows, "cos1", band=RegressionBand(0.6))
+        estimate_batch(rows, "cos1", alpha=0.6)
     with pytest.raises(ValueError):
         estimate_batch(np.zeros((2, 3, 4)), "perio")
     with pytest.raises(ValueError):
