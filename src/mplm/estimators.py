@@ -422,19 +422,18 @@ def _holder_index(n: int, freq_index: int = 1) -> int:
 def _holder_statistic(x, smoothing: str, freq_index: int = 1):
     # the gap |f(0) - f(w_j)| at j = freq_index; the statistics centre the
     # rows themselves: the raw periodogram then vanishes at frequency 0 and is
-    # its own gap, while the Parzen spectrum gives its gap to frequency 0 directly
+    # its own gap, while the Parzen spectrum gives its gap (and condition) directly
     rows, n = x.shape
     j = _holder_index(n, freq_index)
+    shared = {"j": j, "freq": 2.0 * np.pi * j / n}
     if smoothing == "none":
-        origin, gaps = np.zeros(rows), periodogram_band(x, [j])[:, 0]
-    else:
-        origin, gaps = lag_window_gaps(x, LagWindowSpec("parzen", default_truncation(n)), j)
-    return (origin, gaps), {"j": j, "freq": 2.0 * np.pi * j / n}
+        return (np.zeros(rows), periodogram_band(x, [j])[:, 0]), shared
+    return lag_window_gaps(x, LagWindowSpec("parzen", default_truncation(n)), j), shared
 
 
-def _holder_inversion(origin: np.ndarray, gaps: np.ndarray, method: str, j: int,
-                      freq: float) -> BatchEstimate:
-    """1 / (a + 2) on each row, a the exponent of its gap at w_j."""
+def _holder_inversion(origin: np.ndarray, gaps: np.ndarray, *condition: np.ndarray,
+                      method: str, j: int, freq: float) -> BatchEstimate:
+    """1 / (a + 2) on each row, a the exponent of its gap at w_j; a ``condition`` is kept."""
     exponents = _holder_exponents(gaps, freq)
     shifted = exponents + 2.0
     invalid = ~(shifted > 0.0)  # a <= -2, or no exponent where the gap vanished
@@ -445,9 +444,10 @@ def _holder_inversion(origin: np.ndarray, gaps: np.ndarray, method: str, j: int,
         return f"regularity exponent {exponents[i]:.6g} <= -2"
 
     # the slope is the exponent, which an invalid row keeps unless its gap vanished
+    diagnostics = dict(zip(("origin_ordinate", "gap_condition"), (origin, *condition)))
     return _finish(method, 1.0 / np.where(invalid, np.nan, shifted), exponents, 1, invalid,
-                   reason_of, {"origin_ordinate": origin}, {"freq_indices": np.array([j])},
-                   {"origin_ordinate": invalid, "freq_indices": invalid})
+                   reason_of, diagnostics, {"freq_indices": np.array([j])},
+                   dict.fromkeys([*diagnostics, "freq_indices"], invalid))
 
 
 # method name -> (statistic, inversion, the fixed arguments that make the
@@ -517,7 +517,7 @@ def estimate_batch(rows, method: str, **config) -> BatchEstimate:
     step = max(1, CHUNK_VALUES // x.shape[1])
     parts = [statistic(x[i:i + step], **fixed, **config) for i in range(0, len(x), step)]
     arrays = parts[0][0] if len(parts) == 1 else map(np.concatenate, zip(*(v for v, _ in parts)))
-    out = inversion(*arrays, method, **parts[0][1])
+    out = inversion(*arrays, method=method, **parts[0][1])
     if finite_rows < finite.size:
         out.invalidate(~finite, NON_FINITE)
     return out

@@ -17,18 +17,19 @@ ordinates from a product with a cached table of cosines and sines, a wider
 band from one real-input FFT per row sliced to it.  ``periodogram`` is one
 series' band over h = 1..N-1 plus the h = N alias, and
 ``smoothed_periodogram`` the transform route over h = 1..N.
-``lag_window_gaps`` gives each row's gap between the smoothed spectrum at
-frequency 0 and at the one index j that ``sp`` reads, formed directly as
-(1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)), with c_k the weighted
-autocovariances and 1 - cos(w_j k) = 2 sin(w_j k / 2)**2, so it keeps its
-relative precision where the two ordinates nearly agree.
+``lag_window_gaps`` gives each row's smoothed spectrum at frequency 0 and
+its gap to the one index j that ``sp`` reads, formed directly as
+(1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)) so that it keeps its relative
+precision where the two ordinates nearly agree: both are linear forms in
+the autocovariances c_k, read off the power of one forward transform per
+row with a cached table, with no autocovariance or inverse transform.
 
-The autocovariances behind the lag-window spectra take one of two routes
-per row: a 0/1 row sums its lags exactly by popcounts of its packed bits
-while the truncation point is below ``POPCOUNT_LIMIT`` (cos1 and cos2), and
-every other row, or a larger truncation point (parzen and sp from N = 475),
-takes one transform of the whole centred series; the comment above
-``POPCOUNT_LIMIT`` has the measurements.
+The autocovariances behind the other lag-window spectra take one of two
+routes per row: a 0/1 row sums its lags exactly by popcounts of its packed
+bits while the truncation point is below ``POPCOUNT_LIMIT`` (cos1 and
+cos2), and every other row, or a larger truncation point (parzen from
+N = 475), takes one transform pair of the whole centred series; the comment
+above ``POPCOUNT_LIMIT`` has the measurements.
 """
 
 from __future__ import annotations
@@ -142,15 +143,32 @@ def _lag_sums(x: np.ndarray, m: int) -> np.ndarray:
     return np.concatenate(sums, axis=1)[:, :m + 1]
 
 
+def _padded_transform(x: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """rfft of each centred row of x zero-padded to L = ``_fft_length(N + m + 1)``, and L."""
+    nfft = _fft_length(x.shape[1] + m + 1)
+    return np.fft.rfft(_centred(x), n=nfft, axis=1), nfft
+
+
+def _transform_acv(x: np.ndarray, m: int) -> np.ndarray:
+    """gamma_hat(0..m) of each row of x as irfft(|X|**2) / N, with |X|**2 written into X.
+
+    irfft takes a complex input as it is, and would convert a real one first.
+    """
+    f, nfft = _padded_transform(x, m)
+    np.add(f.real**2, f.imag**2, out=f.real)
+    f.imag = 0.0
+    return np.fft.irfft(f, n=nfft, axis=1)[:, :m + 1] / x.shape[1]
+
+
 def _acv_rows(x: np.ndarray, m: int) -> np.ndarray:
     """gamma_hat(0..m) of each row of x (see ``sample_acv``), shape (rows, m + 1)."""
     rows, n = x.shape
-    binary = ((x == 0.0) | (x == 1.0)).all(axis=1) & (m < POPCOUNT_LIMIT) & (n <= 1 << 17)
+    if m >= POPCOUNT_LIMIT or n > 1 << 17:
+        return _transform_acv(x, m)
+    binary = ((x == 0.0) | (x == 1.0)).all(axis=1)
     out = np.empty((rows, m + 1))
     if not binary.all():
-        nfft = _fft_length(n + m + 1)
-        f = np.fft.rfft(_centred(x[~binary]), n=nfft, axis=1)
-        out[~binary] = np.fft.irfft(f.real**2 + f.imag**2, n=nfft, axis=1)[:, :m + 1] / n
+        out[~binary] = _transform_acv(x[~binary], m)
     if binary.any():
         ones = x[binary]
         p = _lag_sums(ones, m).astype(np.float64)  # P_0 is the number of ones S
@@ -252,10 +270,10 @@ def smoothed_periodogram(series, spec: LagWindowSpec) -> np.ndarray:
 # with the caches evicted first: rfft 0.55-0.89 ms, 8N 0.24 ms, 32N 0.42 ms.
 # 8 keeps a clear margin either way.  A table also holds at most
 # TABLE_LIMIT entries (1 MB), so the three table caches below keep at most
-# 3 * 8 * 1 MB whatever N is: a larger band takes the FFT, and a
-# ``lag_window_gaps`` row wider than that is built for the call alone.  At
-# N = 8192..32768 the cos1 and cos2 bands (about N entries) and p's single
-# index (2N) take the product, parzen's band (about 60N) and perio's the FFT.
+# 3 * 8 * 1 MB whatever N is: a larger band takes the FFT, and larger gap
+# forms are built per call.  At N = 8192..32768 the cos1 and cos2 bands
+# (about N entries) and p's index (2N) take the product, parzen's band (60N)
+# and perio's the FFT, and sp's forms (about 2N) are cached, up to N = 64954.
 PRODUCT_LIMIT = 8
 TABLE_LIMIT = 1 << 17
 
@@ -299,10 +317,28 @@ def _cosine_table(n: int, g: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _half_angle_table(n: int, j: int, m: int) -> np.ndarray:
-    """1 - cos(w_j k) = 2 sin(pi j k / n)**2 for k = 1..m, as one (1, m) row."""
-    phase = (np.pi / n) * ((j * np.arange(1, m + 1)) % n)
-    table = 2.0 * np.sin(phase[None]) ** 2
+def _gap_forms(n: int, spec: LagWindowSpec, j: int) -> np.ndarray:
+    """Rows B of f(0), of the drop f(0) - f(w_j) and of its rounding, shape (3, L // 2 + 1).
+
+    A lag form sum_k a_k gamma_hat(k) is sum_nu |X(nu)|**2 B(nu), X the
+    ``_padded_transform`` of the row and B the real part of the length-L rfft
+    of a_0..a_m times mu / (N L), mu the Hermitian multiplicity (1 at nu = 0
+    and at L / 2, else 2).  f(0) has a_k = w_k / 2 pi, doubled for k >= 1,
+    the drop a_k = w_k 2 sin(pi j k / N)**2 / pi.  The third row,
+    |B| + mu sum_k |a_k| / (N L) of the drop, bounds its rounding: the
+    product's, near each term, and the two transforms', about u log2 L of
+    their largest entry across all of |X|**2 (sum mu |X|**2 = N L gamma_hat(0)).
+    """
+    nfft = _fft_length(n + spec.m + 1)
+    k = np.arange(spec.m + 1)
+    weights = _window_weights(spec) / np.pi
+    lags = np.stack([np.where(k > 0, weights, weights / 2.0),
+                     weights * 2.0 * np.sin((np.pi / n) * ((j * k) % n)) ** 2])
+    forms = np.fft.rfft(lags, n=nfft, axis=1).real
+    nu = np.arange(forms.shape[1])
+    multiplicity = (2.0 - (2 * nu % nfft == 0)) / (n * nfft)
+    table = np.concatenate([forms * multiplicity,
+                            (np.abs(forms[1:]) + np.abs(lags[1]).sum()) * multiplicity])
     table.flags.writeable = False
     return table
 
@@ -346,20 +382,24 @@ def lag_window_band(x, spec: LagWindowSpec, g: int) -> np.ndarray:
     return _lag_half(c, n)[:, np.minimum(h, n - h)]
 
 
-def lag_window_gaps(x, spec: LagWindowSpec, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lag-window spectrum of each row of x at frequency 0, and its drop f(0) - f(w_j).
+def lag_window_gaps(x, spec: LagWindowSpec, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lag-window spectrum of each row of x at frequency 0, its drop f(0) - f(w_j) and condition.
 
-    Both of shape (rows,).  f(0) = (c_0 + 2 sum_k c_k) / 2 pi, and the drop
-    is formed directly as (1/pi) sum_{k=1..m} c_k (1 - cos(w_j k)) from a
-    table of 2 sin(w_j k / 2)**2, cached while its m entries fit
-    (``_max_table``) and built for the call alone above that.  Subtracting
-    two computed ordinates instead would cancel when they nearly agree, as
-    they do next to frequency 0.
+    Each of shape (rows,).  f(0) = (c_0 + 2 sum_k c_k) / 2 pi, and the drop
+    (1/pi) sum_{k=1..m} c_k 2 sin(w_j k / 2)**2 is formed directly, not as
+    the difference of two ordinates, which cancels when they nearly agree.
+    Both come from one forward transform per row times a table of forms
+    (``_gap_forms``), cached while it fits (``_max_table``) and built for the
+    call alone above that.  The condition, the third form over |drop|, is
+    the drop's rounding in units of about u log2 L, u the unit roundoff.
     """
     n = x.shape[1]
     if np.asarray(j).dtype.kind not in "iu" or not 1 <= j < n:
         raise ValueError(f"Fourier index must be an integer in [1, {n}), got {j}")
-    c = _weighted_acv(x, spec)
-    origin = (c[:, 0] + 2.0 * c[:, 1:].sum(axis=1)) / (2.0 * np.pi)
-    table = _half_angle_table if spec.m <= _max_table(n) else _half_angle_table.__wrapped__
-    return origin, _row_products(c[:, 1:], table(n, j, spec.m))[:, 0] / np.pi
+    if spec.m >= n:
+        raise ValueError(f"truncation point must be < series length, got m={spec.m}, n={n}")
+    f, nfft = _padded_transform(x, spec.m)
+    forms = _gap_forms if 3 * (nfft // 2 + 1) <= _max_table(n) else _gap_forms.__wrapped__
+    origin, gaps, rounding = _row_products(f.real**2 + f.imag**2, forms(n, spec, j)).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return origin, gaps, rounding / np.abs(gaps)

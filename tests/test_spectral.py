@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,13 @@ from numpy.testing import assert_allclose
 
 from mplm import spectral
 from mplm.dynamics import simulate_mp
+from mplm.estimators import estimate
 from mplm.spectral import (
     POPCOUNT_LIMIT,
     PRODUCT_LIMIT,
     TABLE_LIMIT,
     LagWindowSpec,
+    default_truncation,
     lag_window_band,
     lag_window_gaps,
     lag_window_weight,
@@ -21,7 +24,7 @@ from mplm.spectral import (
     sample_acv,
     smoothed_periodogram,
 )
-from mplm.spectral import (_acv_rows, _cosine_table, _dft_table, _half_angle_table, _lag_half,
+from mplm.spectral import (_acv_rows, _cosine_table, _dft_table, _fft_length, _gap_forms, _lag_half,
                            _lag_sums)
 
 
@@ -369,7 +372,7 @@ def test_smoothed_matches_brute_force_cosine_sum():
                                     atol=tol, err_msg=f"n={n} {kind} m={m} g={g}")
                 # the drop from frequency 0 at each index
                 for j in range(1, n):
-                    origin, gaps = lag_window_gaps(x[None], spec, j)
+                    origin, gaps, _ = lag_window_gaps(x[None], spec, j)
                     assert_allclose(origin[0], f[-1], rtol=0, atol=tol)  # h = N aliases 0
                     assert_allclose(origin[0] - gaps[0], f[j - 1], rtol=0, atol=tol,
                                     err_msg=f"n={n} {kind} m={m} j={j}")
@@ -387,10 +390,10 @@ def test_smoothed_matches_brute_force_cosine_sum():
 
 
 def test_tables_above_the_limit_are_not_cached():
-    # past TABLE_LIMIT entries the bands take the rfft and a gap row is built
-    # for the call alone, so no cached table outgrows the limit at any N
+    # past TABLE_LIMIT entries the bands take the rfft and the gap forms are
+    # built for the call alone, so no cached table outgrows the limit at any N
     rng = np.random.default_rng(12)
-    caches = (_dft_table, _cosine_table, _half_angle_table)
+    caches = (_dft_table, _cosine_table, _gap_forms)
     for cache in caches:
         cache.cache_clear()
     n = 40_000  # PRODUCT_LIMIT * n > TABLE_LIMIT
@@ -407,9 +410,53 @@ def test_tables_above_the_limit_are_not_cached():
                     atol=1e-13 * np.abs(f).max())
     n = TABLE_LIMIT + 1000
     x = random_binary(rng, n)
-    spec = LagWindowSpec("parzen", TABLE_LIMIT + 1)  # one row of the gap table
+    spec = LagWindowSpec("parzen", TABLE_LIMIT + 1)  # forms of 3 (L // 2 + 1) > 3 N entries
     f = smoothed_periodogram(x, spec)
     for j in (1, 3):
-        origin, gaps = lag_window_gaps(x[None], spec, j)
+        origin, gaps, _ = lag_window_gaps(x[None], spec, j)
         assert_allclose(origin[0] - gaps[0], f[j - 1], rtol=0, atol=1e-13 * np.abs(f).max())
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+
+
+def _parzen_weight(k, m):
+    """w(k/m) of the Parzen window as an exact fraction."""
+    x = Fraction(k, m)
+    return 1 - 6 * x**2 + 6 * x**3 if x <= Fraction(1, 2) else 2 * (1 - x) ** 3
+
+
+# the rows of the gap oracle: intermittent-map rows (seed fixed before any
+# run) and the period-3 row x_t = 1 unless t % 3 == 2, whose spectrum is all
+# but flat next to frequency 0, so its gap is a near-total cancellation
+_GAP_ROWS = {f"mp-{s}-{n}": (lambda s=s, n=n: simulate_mp(s, n, seed=24, burn_in=0))
+             for s in (0.4, 0.65) for n in (4096, 30000)}
+_GAP_ROWS.update({f"periodic-{n}": (lambda n=n: (np.arange(n) % 3 != 2).astype(float))
+                  for n in (4096, 30000)})
+
+
+@pytest.mark.parametrize("row", sorted(_GAP_ROWS))
+def test_lag_window_gap_against_exact_autocovariances(row):
+    # the drop f(0) - f(w_1) of sp's Parzen spectrum (m = N**0.9) against
+    # (1/pi) sum_k w_k gamma_hat(k) 2 sin(pi k / N)**2 at 40 digits from the
+    # exact gamma_hat; the drop is good to u log2 L times its own condition
+    x = _GAP_ROWS[row]()
+    n = x.size
+    spec = LagWindowSpec("parzen", default_truncation(n))
+    _, gaps, condition = lag_window_gaps(x[None], spec, 1)
+    terms = [_parzen_weight(k, spec.m) * g for k, g in enumerate(exact_acv(x, spec.m))]
+    with mpmath.workdps(40):
+        exact = sum(mpmath.mpf(t.numerator) / t.denominator * 2 * mpmath.sin(mpmath.pi * k / n) ** 2
+                    for k, t in enumerate(terms)) / mpmath.pi
+        error = abs(float(mpmath.mpf(float(gaps[0])) - exact))
+    u = np.finfo(np.float64).eps / 2
+    log_length = np.log2(_fft_length(n + spec.m + 1))
+    assert 1.0 <= condition[0] and error <= u * log_length * condition[0] * abs(gaps[0]), row
+
+
+def test_sp_takes_no_inverse_transform(monkeypatch):
+    # sp reads f(0) and its drop off one forward transform per row, whatever
+    # N (below N = 475 its truncation point would allow popcount lag sums)
+    monkeypatch.setattr(np.fft, "irfft", None)
+    for n in (300, 4096):
+        x = simulate_mp(0.4, n, seed=24, burn_in=0)
+        result = estimate(x, "sp")
+        assert result.valid and np.isfinite(result.diagnostics["gap_condition"]), n
