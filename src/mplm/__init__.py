@@ -17,7 +17,7 @@ from .dynamics import (
 )
 from .estimators import BatchEstimate, EstimateResult, estimate, estimate_batch, ols_slope
 from .montecarlo import ExperimentSpec, McSummary, preset_experiment, run_experiment, summarize
-from .partial_sums import ScalingFit, scaling_exponent, var_partial_sum
+from .partial_sums import ScalingFit, scaling_exponent
 from .spectral import (LagWindowSpec, lag_window_weight, periodogram, sample_acv,
                        smoothed_periodogram)
 from .wavelet import WaveletBasis, psi, sample_R, wavelet_coefficients

@@ -43,19 +43,16 @@ def _key(seed) -> int:
     return int(seed) & (2**64 - 1)
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for one stream; same seed, same draws."""
-    return np.random.Generator(np.random.Philox(key=_key(seed)))
-
-
 def stream_uniforms(seeds, count: int, start: int = 0) -> np.ndarray:
     """Uniforms ``start .. start + count - 1`` of each seed's stream, as a (len(seeds), count) array.
 
-    Row r equals ``make_rng(seeds[r]).random(start + count)[start:]``.  One
-    Philox per call is re-keyed through its state (key ``[seed, 0]``, the
-    counter at the four-draw block holding draw ``start``, empty buffer),
-    which skips the SeedSequence a new generator builds and never uses.
-    The generator is local to the call, so threads never share one.
+    A seed's stream is what ``Generator.random`` draws from a Philox4x64-10
+    keyed by the seed modulo 2**64, from counter 0; row r holds its draws
+    ``start`` on.  One Philox per call is re-keyed through its state (key
+    ``[seed, 0]``, the counter at the four-draw block holding draw
+    ``start``, empty buffer), which skips the SeedSequence a new generator
+    builds and never uses.  The generator is local to the call, so threads
+    never share one.
     """
     skip = start % 4
     out = np.empty((len(seeds), skip + count))

@@ -1,4 +1,4 @@
-"""Power-series sums n**-g: totals, partial sums, and tails.
+"""Power-series sums n**-g: totals and tails.
 
 ``zeta_value`` follows a direct-summation scheme: add the first 10**6
 terms and close with the integral tail M**(1-g)/(g-1).  For g > 2 the
@@ -38,16 +38,6 @@ def zeta_value(g: float) -> float:
     n = np.arange(1, _DIRECT_TERMS + 1, dtype=np.float64)
     head = float(np.sum(n ** (-g)))
     return head + _em_tail(g, float(_DIRECT_TERMS + 1))
-
-
-def partial_sums(g: float, kmax: int) -> np.ndarray:
-    """Cumulative sums S[k] = sum_{n=1..k} n**-g for k = 0..kmax."""
-    _require_exponent(g, 0.0)
-    n = np.arange(1, kmax + 1, dtype=np.float64)
-    out = np.empty(kmax + 1)
-    out[0] = 0.0
-    np.cumsum(n ** (-g), out=out[1:])
-    return out
 
 
 def _em_tail(g: float, a: float) -> float:

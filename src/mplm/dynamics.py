@@ -36,15 +36,16 @@ from functools import lru_cache
 import numpy as np
 
 from ._seeds import stream_uniforms
-from ._zeta import partial_sums, tail_sum, zeta_value
+from ._zeta import tail_sum, zeta_value
 
 # Consecutive identical iterates before a laminar-freeze diagnostic fires.
 STALL_LIMIT = 10_000
 # Time steps per block of the orbit buffer in ``_iterate_map``.
 _STEP_BUFFER = 256
 
-_LBP_TABLE_CELLS = 100_000
-_ZIPF_TABLE_SIZE = 100_000
+# The n**-gamma terms tabulated for the lbp cells and the chain's two CDFs;
+# ``_invert_tail`` inverts the tails beyond them analytically.
+_TABLE_TERMS = 100_000
 # The chain's first prefix of draws, in expected jumps to length n.
 _CHAIN_PREFIX = 1.25
 # Uniform draws per chunk of chain rows: the L2-sized bound of
@@ -262,47 +263,34 @@ def simulate_mp(s: float, n: int, seed: int, burn_in: int = 10_000,
 
 
 @lru_cache(maxsize=32)
-def _lbp_tables(gamma: float):
-    """Descending cell boundaries c[0..K] with c[j] = 1 - S_j / zeta(gamma), and zeta(gamma).
+def _lbp_branch_table(gamma: float):
+    """The affine branches of the map, indexed by search position in ``lefts[1:]``; zeta(gamma).
 
-    Cell k is (c[k+1], c[k]]; its length is (k+1)**-gamma / zeta(gamma).
+    The partition's boundaries are c[j] = 1 - (1**-gamma + ... + j**-gamma)
+    / zeta(gamma); cell k is (c[k+1], c[k]].  ``lefts`` is 0.0 and then
+    c[K..1] ascending, so position i in 1..K-1 is cell K - i with left
+    endpoint ``lefts[i]``, right endpoint ``right[i]`` and slope
+    ``slope[i]``; ``lefts`` and ``right`` are views of one array.  Position
+    K is cell 0, carried onto (0, 1) as ``0 + zeta(gamma) * (x - c[1])``.
     States below c[K] are handled analytically.
     """
     z = zeta_value(gamma)
-    bounds = 1.0 - partial_sums(gamma, _LBP_TABLE_CELLS) / z
-    bounds[0] = 1.0
-    np.maximum(bounds, 0.0, out=bounds)
-    bounds.setflags(write=False)
-    return bounds, z
-
-
-@lru_cache(maxsize=32)
-def _lbp_branch_table(gamma: float):
-    """The affine branches of the map, indexed by search position in ``lefts[1:]``.
-
-    ``lefts`` is 0.0 and then the ascending boundary table without its
-    final 1, so position i in 1..K-1 is cell K - i with left endpoint
-    ``lefts[i]``, right endpoint ``right[i]`` and slope ``slope[i]``;
-    ``lefts`` and ``right`` are views of one array.  Position K is cell 0,
-    carried onto (0, 1) as ``0 + zeta(gamma) * (x - c[1])``.
-    """
-    bounds, z = _lbp_tables(gamma)
-    ends = np.concatenate(([0.0], bounds[:0:-1], [0.0]))
-    k = np.arange(_LBP_TABLE_CELLS, 0, -1)
+    terms = np.arange(1, _TABLE_TERMS + 1, dtype=np.float64) ** (-gamma)
+    bounds = np.maximum(1.0 - np.cumsum(terms) / z, 0.0)
+    ends = np.concatenate(([0.0], bounds[::-1], [0.0]))
+    k = np.arange(_TABLE_TERMS, 0, -1)
     slope = np.append(((k + 1.0) / k) ** gamma, z)
     ends.setflags(write=False)
     slope.setflags(write=False)
-    return ends[:-1], ends[1:], slope
+    return ends[:-1], ends[1:], slope, z
 
 
-def _lbp_deep_step(gamma: float, x: float) -> float:
-    """The map at x == 0 or in a cell k >= K below the table."""
+def _lbp_deep_step(gamma: float, z: float, x: float) -> float:
+    """The map at x == 0 or in a cell k >= K below the table; z = zeta(gamma)."""
     if x == 0.0:
         return 0.0
-    z = _lbp_tables(gamma)[1]
     # the k with tail(k+1) < x * z <= tail(k)
-    k = _invert_tail(lambda j: tail_sum(gamma, j + 1), np.nextafter(x * z, 0.0),
-                     _LBP_TABLE_CELLS)
+    k = _invert_tail(lambda j: tail_sum(gamma, j + 1), np.nextafter(x * z, 0.0), _TABLE_TERMS)
     left, right = tail_sum(gamma, k + 1) / z, tail_sum(gamma, k) / z
     # Python's float power: numpy's differs from it in the last bit for some k
     return right + ((k + 1.0) / k) ** gamma * (x - left)
@@ -310,7 +298,7 @@ def _lbp_deep_step(gamma: float, x: float) -> float:
 
 def _lbp_stepper(gamma: float):
     """The map as a step ``(x, out)`` of a state array, from the cached branch table."""
-    lefts, right, slope = _lbp_branch_table(gamma)
+    lefts, right, slope, z = _lbp_branch_table(gamma)
     edges = lefts[1:]
 
     def step(x, y):
@@ -325,7 +313,7 @@ def _lbp_stepper(gamma: float):
         # position 0 is x == 0 or a cell below the table
         if np.count_nonzero(i) < i.size:
             for r in np.flatnonzero(i == 0):
-                y[r] = _lbp_deep_step(gamma, float(x[r]))
+                y[r] = _lbp_deep_step(gamma, z, float(x[r]))
 
     return step
 
@@ -388,22 +376,28 @@ def markov_stationary(gamma: float, k: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def _jump_cdf(gamma: float):
-    """CDF table F[i] = P(jump size <= i) for i = 0.._ZIPF_TABLE_SIZE-1, and its guide.
+def _chain_tables(gamma: float):
+    """The jump-size CDF, its guide, zeta(gamma) and the stationary CDF.
 
-    A draw u in bucket [b/M, (b+1)/M) of [0, 1) has its search position
-    ``searchsorted(F, u)`` between those of b/M and (b+1)/M.  Where the two
-    agree, ``guide[b]`` holds that position; where an entry of F falls
-    inside the bucket, it holds -1.
+    The jump CDF is F[i] = P(jump size <= i) and the stationary one P(state
+    <= i), for i = 0.._TABLE_TERMS-1.  A draw u in bucket [b/M, (b+1)/M) of
+    [0, 1) has its search position ``searchsorted(F, u)`` between those of
+    b/M and (b+1)/M.  Where the two agree, ``guide[b]`` holds that
+    position; where an entry of F falls inside the bucket, it holds -1.
     """
+    terms = np.arange(1, _TABLE_TERMS + 1, dtype=np.float64) ** (-gamma)
     z = zeta_value(gamma)
-    pmf = np.arange(1, _ZIPF_TABLE_SIZE + 1, dtype=np.float64) ** (-gamma) / z
-    cdf = np.cumsum(pmf)
-    edges = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="left")
+    jump_cdf = np.cumsum(terms / z)
+    edges = np.searchsorted(jump_cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="left")
     guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
-    cdf.setflags(write=False)
-    guide.setflags(write=False)
-    return cdf, guide, z
+    # suffix[k] = sum over n = k+1.._TABLE_TERMS of n**-gamma; summing
+    # backwards avoids the cancellation of zeta - partial_sum
+    suffix = np.cumsum(terms[::-1])[::-1]
+    pi = (suffix + tail_sum(gamma, _TABLE_TERMS)) / zeta_value(gamma - 1.0)
+    stationary_cdf = np.cumsum(pi)
+    for table in (jump_cdf, guide, stationary_cdf):
+        table.setflags(write=False)
+    return jump_cdf, guide, z, stationary_cdf
 
 
 def _invert_tail(eval_tail, target: float, start: int, stop=np.inf) -> int:
@@ -424,19 +418,6 @@ def _invert_tail(eval_tail, target: float, start: int, stop=np.inf) -> int:
     return min(stop, hi if eval_tail(lo) > target else lo)
 
 
-@lru_cache(maxsize=32)
-def _stationary_cdf(gamma: float):
-    """CDF of the stationary law over states 0.._ZIPF_TABLE_SIZE-1."""
-    terms = np.arange(1, _ZIPF_TABLE_SIZE + 1, dtype=np.float64) ** (-gamma)
-    # suffix[k] = sum over n = k+1.._ZIPF_TABLE_SIZE of n**-gamma; summing
-    # backwards avoids the cancellation of zeta - partial_sum
-    suffix = np.cumsum(terms[::-1])[::-1]
-    pi = (suffix + tail_sum(gamma, _ZIPF_TABLE_SIZE)) / zeta_value(gamma - 1.0)
-    cdf = np.cumsum(pi)
-    cdf.setflags(write=False)
-    return cdf
-
-
 def _stationary_tail_mass(gamma: float, k: int) -> float:
     # P(state > k) = [tail(gamma-1, k+1) - (k+1) tail(gamma, k+1)] / zeta(gamma-1)
     return (tail_sum(gamma - 1.0, k + 1) - (k + 1) * tail_sum(gamma, k + 1)) / zeta_value(gamma - 1.0)
@@ -453,21 +434,21 @@ def _chain_zeros(gamma: float, n: int, u: np.ndarray, last=None) -> np.ndarray:
     stops the inversion before its tail sums overflow.  Given ``last``
     zero positions, every draw is a step and the positions go on from them.
     """
-    jump_cdf, guide, z = _jump_cdf(gamma)
+    jump_cdf, guide, z, stationary_cdf = _chain_tables(gamma)
     # each draw as a step, searchsorted(jump_cdf, u) by the guide; u * M is exact, M = 2**12
     steps = guide[(u * _GUIDE_BUCKETS).astype(np.intp)].astype(np.int64, copy=False)
     undecided = steps < 0
     steps[undecided] = np.searchsorted(jump_cdf, u[undecided], side="left")
     steps += 1
-    if steps.max() > _ZIPF_TABLE_SIZE:  # rare, and the max costs less than the search
-        for r, i in zip(*np.nonzero(steps > _ZIPF_TABLE_SIZE)):
+    if steps.max() > _TABLE_TERMS:  # rare, and the max costs less than the search
+        for r, i in zip(*np.nonzero(steps > _TABLE_TERMS)):
             steps[r, i] = _invert_tail(lambda k: tail_sum(gamma, k),
-                                       (1.0 - u[r, i]) * z, _ZIPF_TABLE_SIZE, n)
+                                       (1.0 - u[r, i]) * z, _TABLE_TERMS, n)
     if last is None:
-        steps[:, 0] = np.searchsorted(_stationary_cdf(gamma), u[:, 0], side="left")
-        for r in np.flatnonzero(steps[:, 0] >= _ZIPF_TABLE_SIZE):
+        steps[:, 0] = np.searchsorted(stationary_cdf, u[:, 0], side="left")
+        for r in np.flatnonzero(steps[:, 0] >= _TABLE_TERMS):
             steps[r, 0] = _invert_tail(lambda j: _stationary_tail_mass(gamma, j),
-                                       1.0 - u[r, 0], _ZIPF_TABLE_SIZE, n)
+                                       1.0 - u[r, 0], _TABLE_TERMS, n)
     else:
         steps[:, 0] += last
     return np.cumsum(steps, axis=1, out=steps)

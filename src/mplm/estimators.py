@@ -38,14 +38,14 @@ each method is one fixed recipe, and ``METHOD_KEYWORDS`` lists the only keys:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (LagWindowSpec, _centred, _row_products, default_truncation, lag_window_band,
-                       lag_window_gaps, periodogram_band, series_rows, series_values)
+from .spectral import (LagWindowSpec, _as_index, _centred, _row_products, default_truncation,
+                       lag_window_band, lag_window_gaps, periodogram_band, series_rows,
+                       series_values)
 # No estimator calls the full-grid spectra or sample_R any more.
 # perfbench/tracer.py and perfbench/selfcheck.py look these names up here,
 # and the selfcheck fails without them; the tracer's spectral.* and
@@ -410,10 +410,7 @@ def holder_from_ordinates(origin_value: float, ordinate: float, freq: float) -> 
 
 
 def _holder_index(n: int, freq_index: int = 1) -> int:
-    try:
-        j = operator.index(freq_index)
-    except TypeError:
-        raise ValueError(f"frequency index must be an integer, got {freq_index!r}") from None
+    j = _as_index(freq_index, "frequency index")
     if not 1 <= j < n // 2:
         raise ValueError(f"frequency index must lie in [1, {n // 2}), got {j}")
     return j

@@ -1,15 +1,14 @@
-"""Exact finite-N variance of partial sums, and its growth exponent.
+"""The growth exponent of the variance of partial sums.
 
 For a stationary series with autocovariances gamma(j),
 
-    Var(S_N) = N gamma(0) + 2 sum_{j=1}^{N-1} (N - j) gamma(j),
+    Var(S_N) = N gamma(0) + 2 sum_{j=1}^{N-1} (N - j) gamma(j).
 
-which ``var_partial_sum`` evaluates directly.  When gamma(j) decays like
-j**-u with u in (0, 1) the variance grows like N**(2-u);
-``scaling_exponent`` measures that growth from simulated replications.
-For the intermittent map this exponent is 3 - 1/s.  Its generator is any
-``(s, lengths, seeds) -> sums`` function that returns the partial sum S_N
-of each replication, not the series, e.g.
+When gamma(j) decays like j**-u with u in (0, 1) the variance grows like
+N**(2-u); ``scaling_exponent`` measures that growth from simulated
+replications.  For the intermittent map this exponent is 3 - 1/s.  Its
+generator is any ``(s, lengths, seeds) -> sums`` function that returns the
+partial sum S_N of each replication, not the series, e.g.
 ``functools.partial(mplm.dynamics.mp_partial_sums, burn_in=...)``, which
 steps every (length, replication) row in one orbit loop.
 """
@@ -25,17 +24,6 @@ from ._seeds import derive_seeds
 # looks it up, so the name stays importable here; nothing here calls it
 from .dynamics import simulate_mp_batch  # noqa: F401
 from .estimators import ols_slope
-
-
-def var_partial_sum(acv, n: int) -> float:
-    """Variance of the length-n partial sum from autocovariances 0..n-1."""
-    values = np.asarray(acv, dtype=np.float64)
-    if n < 1:
-        raise ValueError(f"partial-sum length must be >= 1, got {n}")
-    if values.size < n:
-        raise ValueError(f"need autocovariances for lags 0..{n - 1}, got {values.size}")
-    j = np.arange(1, n)
-    return float(n * values[0] + 2.0 * np.sum((n - j) * values[1:n]))
 
 
 @dataclass(frozen=True, eq=False)

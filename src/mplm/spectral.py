@@ -35,6 +35,7 @@ above ``POPCOUNT_LIMIT`` has the measurements.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +60,14 @@ def series_rows(rows) -> np.ndarray:
     return x
 
 
+def _as_index(value, name: str) -> int:
+    """A size or index as an int, by ``operator.index``: 2.5, and 2.0 too, raise ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _centred(x: np.ndarray) -> np.ndarray:
     """Each row minus its own mean (the row sum over N, as ``mean`` forms it)."""
     return x - x.sum(axis=1, keepdims=True) / x.shape[1]
@@ -76,7 +85,7 @@ class LagWindowSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"window kind must be one of {self._KINDS}, got {self.kind!r}")
-        if self.m < 1:
+        if _as_index(self.m, "truncation point") < 1:
             raise ValueError(f"truncation point must be >= 1, got {self.m}")
 
 
@@ -197,6 +206,7 @@ def sample_acv(series, max_lag: int) -> np.ndarray:
     """
     x = series_values(series)
     n = x.size
+    max_lag = _as_index(max_lag, "max_lag")
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must satisfy 0 <= max_lag < {n}, got {max_lag}")
     return _acv_rows(x[None], max_lag)[0]
@@ -372,6 +382,7 @@ def lag_window_band(x, spec: LagWindowSpec, g: int) -> np.ndarray:
     length-N rfft of c per row sliced to the band.
     """
     n = x.shape[1]
+    g = _as_index(g, "band size")
     if not 1 <= g < n:
         raise ValueError(f"band size must lie in [1, {n}), got {g}")
     c = _weighted_acv(x, spec)
@@ -394,7 +405,8 @@ def lag_window_gaps(x, spec: LagWindowSpec, j: int) -> tuple[np.ndarray, np.ndar
     the drop's rounding in units of about u log2 L, u the unit roundoff.
     """
     n = x.shape[1]
-    if np.asarray(j).dtype.kind not in "iu" or not 1 <= j < n:
+    j = _as_index(j, "Fourier index")
+    if not 1 <= j < n:
         raise ValueError(f"Fourier index must be an integer in [1, {n}), got {j}")
     if spec.m >= n:
         raise ValueError(f"truncation point must be < series length, got m={spec.m}, n={n}")

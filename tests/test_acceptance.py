@@ -23,8 +23,9 @@ from mplm.estimators import (
     wmp_from_ladder,
 )
 from mplm.montecarlo import ExperimentSpec, mse_value, run_experiment
-from mplm.partial_sums import scaling_exponent, var_partial_sum
+from mplm.partial_sums import scaling_exponent
 from mplm.spectral import periodogram
+from test_partial_sums import var_partial_sum
 
 BASE_SEED = 12345
 

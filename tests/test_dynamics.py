@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 from mplm import dynamics
-from mplm._seeds import derive_seed, make_rng
+from mplm._seeds import derive_seed, stream_uniforms
 from mplm._zeta import tail_sum, zeta_value
 from mplm.dynamics import (
-    _LBP_TABLE_CELLS,
+    _TABLE_TERMS,
     STALL_LIMIT,
     StallWarning,
     _iterate_map,
-    _lbp_tables,
+    _lbp_branch_table,
     ObservableSpec,
     equivalent_gamma,
     lbp_step,
@@ -47,9 +48,20 @@ def mp_branch_point(s: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@lru_cache(maxsize=8)
+def lbp_partition(gamma: float) -> np.ndarray:
+    """Boundaries c[0.._TABLE_TERMS] of the piecewise-linear partition, floored at 0.
+
+    c[j] = 1 - (1**-gamma + ... + j**-gamma) / zeta(gamma), the README's
+    formula, with the partial sums accumulated in index order.
+    """
+    terms = np.arange(1, _TABLE_TERMS + 1, dtype=np.float64) ** (-gamma)
+    return np.maximum(1.0 - np.concatenate(([0.0], np.cumsum(terms))) / zeta_value(gamma), 0.0)
+
+
 def lbp_cell_bounds(gamma: float, k: int) -> tuple[float, float]:
-    """Endpoints (left, right) of cell k < _LBP_TABLE_CELLS of the piecewise-linear partition."""
-    bounds = _lbp_tables(gamma)[0]
+    """Endpoints (left, right) of cell k < _TABLE_TERMS of the piecewise-linear partition."""
+    bounds = lbp_partition(gamma)
     return float(bounds[k + 1]), float(bounds[k])
 
 
@@ -74,7 +86,8 @@ def test_mp_step_direct_evaluation():
 def test_mp_step_is_the_simulators_step(s):
     # state 1 of the orbit loop simulate_mp_batch runs, bit for bit; Python's
     # float ** differs from numpy's power in the last bit for some x
-    x = np.concatenate(([0.0, 1e-300, 0.5, 1.0], make_rng(derive_seed("mp_step", s)).random(5000)))
+    draws = stream_uniforms([derive_seed("mp_step", s)], 5000)[0]
+    x = np.concatenate(([0.0, 1e-300, 0.5, 1.0], draws))
     blocks = dynamics._orbit_blocks(dynamics._mp_stepper(s), x, np.ones(x.size, dtype=int), 1)
     first, states = next(blocks)
     assert first == 0
@@ -350,11 +363,23 @@ def test_lbp_cell_zero_bounds_gamma_three():
     assert_allclose(left, 0.16809, atol=1e-5)
 
 
+@pytest.mark.parametrize("gamma", [2.25, 3.0])
+def test_lbp_branch_table_is_the_partition(gamma):
+    # the stepper's branches are the partition bit for bit: position i in
+    # 1..K-1 is cell K - i, (c[K-i+1], c[K-i]], and position K is cell 0,
+    # whose image (0, 1) starts at 0
+    lefts, right, slope, z = _lbp_branch_table(gamma)
+    c = lbp_partition(gamma)
+    assert np.array_equal(lefts, np.concatenate(([0.0], c[:0:-1])))
+    assert np.array_equal(right, np.concatenate((c[:0:-1], [0.0])))
+    assert z == slope[-1] == zeta_value(gamma)
+
+
 def test_lbp_cell_lengths_sum_to_one():
     for gamma in (2.25, 3.0):
-        bounds, z = _lbp_tables(gamma)
+        bounds, z = lbp_partition(gamma), zeta_value(gamma)
         covered = -np.diff(bounds)
-        total = covered.sum() + tail_sum(gamma, _LBP_TABLE_CELLS) / z
+        total = covered.sum() + tail_sum(gamma, _TABLE_TERMS) / z
         assert abs(total - 1.0) < 1e-12
 
 
@@ -371,8 +396,7 @@ def test_lbp_cell_maps_onto_previous_cell():
 def test_lbp_deep_cell_consistent_with_table():
     # below the table the analytic branch must continue the same map
     gamma = 2.25
-    bounds, z = _lbp_tables(gamma)
-    x = bounds[_LBP_TABLE_CELLS] * 0.9  # strictly below the tabulated range
+    x = lbp_partition(gamma)[_TABLE_TERMS] * 0.9  # strictly below the tabulated range
     y = lbp_step(gamma, x)
     assert 0.0 < y < 1.0
     assert y > x  # climbs toward the right on the left branch
@@ -384,15 +408,15 @@ def test_lbp_deep_cells_satisfy_cell_bounds():
     # from the asymptotic tail (k + 1/2)**(1 - gamma) / (gamma - 1)
     rng = np.random.default_rng(31)
     for gamma in (2.05, 2.25, 2.538, 3.0):
-        bounds, z = _lbp_tables(gamma)
-        for x in bounds[_LBP_TABLE_CELLS] * np.exp(rng.uniform(np.log(1e-12), 0.0, 300)):
+        z = zeta_value(gamma)
+        for x in lbp_partition(gamma)[_TABLE_TERMS] * np.exp(rng.uniform(np.log(1e-12), 0.0, 300)):
             target = x * z
             k = int((target * (gamma - 1.0)) ** (-1.0 / (gamma - 1.0)) - 0.5)
             while tail_sum(gamma, k + 1) >= target:
                 k += 1
             while tail_sum(gamma, k) < target:
                 k -= 1
-            assert k >= _LBP_TABLE_CELLS
+            assert k >= _TABLE_TERMS
             left, right = tail_sum(gamma, k + 1) / z, tail_sum(gamma, k) / z
             assert lbp_step(gamma, x) == right + ((k + 1.0) / k) ** gamma * (x - left)
 
@@ -633,7 +657,7 @@ def test_simulate_markov_batch_rows_match_single_runs(monkeypatch):
     (first, count, start), (second, more, further) = calls[:2]
     assert first == seeds and start == 0
     short = [sd for sd in seeds
-             if dynamics._chain_zeros(2.05, 2000, make_rng(sd).random(count)[None])[0, -1] < 1999]
+             if dynamics._chain_zeros(2.05, 2000, stream_uniforms([sd], count))[0, -1] < 1999]
     assert 0 < len(short) < len(seeds)
     assert second == short and further == count and more == count
     monkeypatch.undo()
@@ -646,12 +670,12 @@ def test_simulate_markov_batch_heavy_stationary_tail():
     # inverting the tail out to it overflows a float; such a start lies
     # beyond n, so the row is all ones
     gamma, seeds = 2.03, list(range(40))
-    huge = [dynamics._stationary_tail_mass(gamma, 2**63) > 1.0 - make_rng(sd).random()
+    huge = [dynamics._stationary_tail_mass(gamma, 2**63) > 1.0 - stream_uniforms([sd], 1)[0, 0]
             for sd in seeds]
     assert any(huge)
     rows = simulate_markov_batch(gamma, 50, seeds)
     assert np.all(rows[huge] == 1.0)
-    for n in (50, 2 * dynamics._ZIPF_TABLE_SIZE):
+    for n in (50, 2 * dynamics._TABLE_TERMS):
         rows = simulate_markov_batch(2.001, n, list(range(12)))
         assert rows.shape == (12, n) and (rows == 1.0).all(axis=1).sum() >= 6
 

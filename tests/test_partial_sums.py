@@ -7,7 +7,18 @@ from numpy.testing import assert_allclose
 from mplm._seeds import derive_seed, stream_uniforms
 from mplm.dynamics import equivalent_gamma, lbp_partial_sums, mp_partial_sums
 from mplm.estimators import ols_slope
-from mplm.partial_sums import scaling_exponent, var_partial_sum
+from mplm.partial_sums import scaling_exponent
+
+
+def var_partial_sum(acv, n: int) -> float:
+    """Var(S_n) = n gamma(0) + 2 sum_{j=1}^{n-1} (n - j) gamma(j) from autocovariances 0..n-1."""
+    values = np.asarray(acv, dtype=np.float64)
+    if n < 1:
+        raise ValueError(f"partial-sum length must be >= 1, got {n}")
+    if values.size < n:
+        raise ValueError(f"need autocovariances for lags 0..{n - 1}, got {values.size}")
+    j = np.arange(1, n)
+    return float(n * values[0] + 2.0 * np.sum((n - j) * values[1:n]))
 
 
 def bernoulli_sums(s, lengths, seeds):

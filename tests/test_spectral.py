@@ -190,6 +190,9 @@ def test_property_lag_sums_are_integer_dot_products(n, lag_share, rows, density,
 def test_acv_rejects_bad_lag():
     with pytest.raises(ValueError):
         sample_acv(np.ones(10), 10)
+    for max_lag in (2.5, 2.0):
+        with pytest.raises(ValueError, match="max_lag must be an integer"):
+            sample_acv(np.ones(10), max_lag)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +300,11 @@ def test_window_rejects_out_of_range():
         LagWindowSpec("hann", 3)
     with pytest.raises(ValueError):
         LagWindowSpec("parzen", 0)
+    for m in (2.5, 2.0):
+        with pytest.raises(ValueError, match="truncation point must be an integer"):
+            LagWindowSpec("parzen", m)
+        with pytest.raises(ValueError, match="truncation point must be an integer"):
+            LagWindowSpec("cosbell", m)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +387,14 @@ def test_smoothed_matches_brute_force_cosine_sum():
     assert paths == {True, False}
     with pytest.raises(ValueError):
         lag_window_band(np.ones((1, 16)), LagWindowSpec("parzen", 16), 4)
+    with pytest.raises(ValueError, match="truncation point must be < series length"):
+        lag_window_gaps(np.ones((1, 16)), LagWindowSpec("parzen", 16), 4)
     with pytest.raises(ValueError):
         lag_window_band(np.ones((1, 16)), LagWindowSpec("parzen", 4), 16)
+    # a band size that is not an integer is no count of ordinates
+    for g in (2.5, 2.0):
+        with pytest.raises(ValueError, match="band size must be an integer"):
+            lag_window_band(np.ones((1, 16)), LagWindowSpec("parzen", 4), g)
     # an index that is not an integer in [1, N) names no Fourier frequency
     for j in (0, 16, 1.5, 2.0):
         with pytest.raises(ValueError, match="Fourier ind"):
