@@ -113,9 +113,9 @@ def _power(re, im, n: int):
     return (re**2 + im**2) / (4.0 * np.pi**2 * n)
 
 
-def _lag_half(c: np.ndarray, n: int) -> np.ndarray:
-    """(1/2pi) [c_0 + 2 sum_k c_k cos(w_h k)] at h = 0..n//2, from a length-n rfft per row."""
-    f = np.fft.rfft(c, n=n, axis=-1)
+def _lag_half(c: np.ndarray, n: int, index: np.ndarray) -> np.ndarray:
+    """(1/2pi) [c_0 + 2 sum_k c_k cos(w_h k)] at h = index (0..n//2), by a length-n rfft."""
+    f = np.fft.rfft(c, n=n, axis=-1)[..., index]
     return (2.0 * f.real - c[..., :1]) / (2.0 * np.pi)
 
 
@@ -269,7 +269,7 @@ def smoothed_periodogram(series, spec: LagWindowSpec) -> np.ndarray:
     x = series_values(series)
     n = x.size
     h = np.arange(1, n + 1)  # h and n - h share an ordinate; h = n aliases h = 0
-    return _lag_half(_weighted_acv(x[None], spec), n)[0, np.minimum(h, n - h)]
+    return _lag_half(_weighted_acv(x[None], spec), n, np.minimum(h, n - h))[0]
 
 
 # A band is read off a product with a cached trigonometric table while the
@@ -390,7 +390,7 @@ def lag_window_band(x, spec: LagWindowSpec, g: int) -> np.ndarray:
         cosine_sums = _row_products(c[:, 1:], _cosine_table(n, g, spec.m))
         return (c[:, :1] + 2.0 * cosine_sums) / (2.0 * np.pi)
     h = np.arange(1, g + 1)
-    return _lag_half(c, n)[:, np.minimum(h, n - h)]
+    return _lag_half(c, n, np.minimum(h, n - h))
 
 
 def lag_window_gaps(x, spec: LagWindowSpec, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,22 +8,25 @@ for levels j = 0..m-1 and translations k = 0..2**j - 1: time is rescaled to
 [0, 1), so level j probes blocks of 2**(m-j) consecutive samples.  The fast
 paths work on every row of a (rows, N) array at once.  The Haar path is a
 block-sum pyramid over the rows; the Mexican hat is evaluated on its
-effective support |u| <= 8 by one matrix product per row and level: each
-level lays its window of one zero-padded copy out in rows of 2**(m-j)
-samples, times the kernel cut into 17 rows of that length (the last holds
-the last tap), and the product, written into rows one entry longer, is
-reshaped so that each of its diagonals lines up in a column.  The product
-keeps the shape of a single series: one stacked product over all rows per
-level ran 4-5 times slower per row.  A single-series product is not kept
-off the BLAS threads, though.  On 2 vCPUs with numpy 2.4's OpenBLAS, the
-products of N <= 16384 run on one thread, but at N = 32768 nearly every
-level's product runs on two (process CPU / wall 1.4-2.0 per level, 1.95
-or more from j = 6 on).  Capping each product at 2**18 multiply-adds, the
-size below which OpenBLAS keeps one thread, stops the second thread but
-slowed the N = 32768 ladder from 1.23 to 1.42 ms, so the threads stay: they
-buy wall time at the cost of CPU time.  Both paths agree with the direct
-summation of the defining formula, which ``_coefficients_direct`` keeps as
-a test oracle.
+effective support |u| <= 8, with matrix products of one row each, in one
+of two shapes chosen by the level's step of 2**(m-j) samples.  A coarse
+level (step above ``FINE_STEP``, 16, or fewer than 16 coefficients)
+multiplies the kernel, cut into 17 rows of step taps, by the row's own
+blocks of step samples, and sums the product's diagonals; the zero blocks
+beyond the series are never formed.  A fine level takes 16 coefficients
+per product row, from windows of 32 steps of a lightly padded copy, so
+nothing is written per tap.  A row's
+products keep the shape of a single series: one stacked product over all
+rows per level ran 4-5 times slower per row, and a row of a batch equals
+the row alone, bit for bit.  A single-series product is not kept off the
+BLAS threads, though.  On 2 vCPUs with numpy 2.4's OpenBLAS, every
+product of N <= 16384 runs on one thread, and at N = 32768 those of
+j = 7..10 run on two (process CPU / wall 1.8-2.0 over 300 calls of one
+level, from sleeping workers) and the rest on one.  Capping each product at 2**18 multiply-adds, the size below
+which OpenBLAS keeps one thread, stopped the second thread but slowed the
+old N = 32768 ladder from 1.23 to 1.42 ms, so the threads stay: they buy
+wall time at the cost of CPU time.  Both paths agree with the direct
+summation of the defining formula, which the tests keep as an oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import _centred, series_rows, series_values
+from .spectral import _as_index, _centred, series_rows, series_values
 
 MEXHAT_SUPPORT = 8.0  # |psi| < 1e-12 beyond this
 
@@ -89,6 +92,15 @@ def _pow2_rows(x: np.ndarray) -> tuple[np.ndarray, int]:
     return x, m
 
 
+# A Mexican-hat level of at most FINE_STEP samples per unit shift takes 16
+# coefficients per product row, a coarser one a coefficient per column.  On
+# a 2-vCPU Xeon VM (numpy 2.4.6, OpenBLAS), best of 200 one-row levels in ms,
+# per column / per row: step 16 0.029 / 0.025 at N = 8192, 0.038 / 0.026 at
+# 16384, 0.069 / 0.043 at 32768; step 2 0.072 / 0.019, 0.14 / 0.030, 0.34 /
+# 0.053; steps 32 and 64 tie within 15%; step 128 0.042 / 0.056 at 32768.
+FINE_STEP = 16
+
+
 @lru_cache(maxsize=32)
 def _mexhat_taps(step: int) -> np.ndarray:
     """psi at the offsets -8*step..8*step in units of 1/step, as a (17, step) table.
@@ -97,9 +109,18 @@ def _mexhat_taps(step: int) -> np.ndarray:
     zeros (read-only).
     """
     halfwidth = int(MEXHAT_SUPPORT) * step
-    taps = np.zeros((2 * int(MEXHAT_SUPPORT) + 1, step))
-    taps.flat[:2 * halfwidth + 1] = psi(WaveletBasis.MEXICAN_HAT,
-                                        np.arange(-halfwidth, halfwidth + 1) / step)
+    taps = psi(WaveletBasis.MEXICAN_HAT, np.arange(-halfwidth, halfwidth + step) / step)
+    taps = taps.reshape(-1, step)
+    taps.setflags(write=False)
+    return taps
+
+
+@lru_cache(maxsize=32)
+def _mexhat_block_taps(step: int) -> np.ndarray:
+    """psi(i / step - g - 8) at row i < 32*step, column g < 16, as (2, 16*step, 16) (read-only)."""
+    span = 2 * int(MEXHAT_SUPPORT)
+    offsets = np.arange(2 * span * step)[:, None] / step - np.arange(span) - span // 2
+    taps = psi(WaveletBasis.MEXICAN_HAT, offsets).reshape(2, span * step, span)
     taps.setflags(write=False)
     return taps
 
@@ -118,44 +139,39 @@ def _fast_coefficients(x: np.ndarray, m: int, basis: WaveletBasis, levels):
             half = sums[m - j - 1]
             yield 2.0 ** (0.5 * j) * (half[:, 0::2] - half[:, 1::2])
         return
-    # coefficient k is sum_i padded[k*step + i] * kernel[i] over 16*step + 1
-    # taps; with the padded series in rows of step samples and the taps in
-    # the 17 rows of ``_mexhat_taps``, taps r*step..(r+1)*step - 1 give entry
-    # (r, k + r) of one matrix product; written into rows one entry longer,
-    # those entries sit count + 18 apart, so a plain reshape lines up each
-    # diagonal in a column; one copy padded for the coarsest level holds
-    # every level's window
-    rows = 2 * int(MEXHAT_SUPPORT) + 1
+    # coefficient k is sum_i x[(k - 8)*step + i] * kernel[i], x zero outside
+    # the series.  Coarse: taps r*step..(r+1)*step - 1 times block b of the
+    # series give entry (r, b + 8) of a zeroed 17 x (count + 16) product (its
+    # outer columns stand for zero blocks); written into rows one entry
+    # longer, entries (r, k + r) sit count + 18 apart, so a plain reshape
+    # lines up each diagonal in a column.  Fine: coefficients 16q..16q+15
+    # read blocks q and q + 1 of 16*step samples of a padded copy.
+    span = 2 * int(MEXHAT_SUPPORT)  # unit shifts the kernel covers
     n = x.shape[1]
-    widest = int(MEXHAT_SUPPORT) << (m - min(levels))
-    padded = np.zeros((x.shape[0], n + 2 * widest))
-    padded[:, widest:widest + n] = x
-    for j in map(int, levels):
-        step = 1 << (m - j)  # samples per unit shift of the rescaled argument
-        count = 1 << j
-        halfwidth = int(MEXHAT_SUPPORT) * step
-        taps = _mexhat_taps(step)
-        width = count + rows - 1  # blocks of the level's window
-        blocks = padded[:, widest - halfwidth:widest + n + halfwidth].reshape(
-            x.shape[0], width, step)
-        flat = np.empty(rows * (width + 2))
-        product = flat[:rows * (width + 1)].reshape(rows, width + 1)[:, :width]
-        diagonals = flat.reshape(rows, width + 2)[:, :count]
-        w = np.empty((x.shape[0], count))
-        for coefficients, series_blocks in zip(w, blocks):
-            np.matmul(taps, series_blocks.T, out=product)  # one series per product (see above)
-            diagonals.sum(axis=0, out=coefficients)
-        yield 2.0 ** (0.5 * j) * w
-
-
-def _coefficients_direct(x: np.ndarray, basis: WaveletBasis, j: int) -> np.ndarray:
-    # literal evaluation of the defining sum; quadratic cost, oracle use only
-    n = x.size
-    grid = (1 << j) * (np.arange(n) / n)
-    out = np.empty(1 << j)
-    for k in range(1 << j):
-        out[k] = np.sum(x * psi(basis, grid - k))
-    return 2.0 ** (0.5 * j) * out
+    pad = span // 2 * FINE_STEP
+    padded = np.zeros((x.shape[0], n + 2 * pad))
+    padded[:, pad:pad + n] = x
+    for j in levels:
+        step, count = n >> j, 1 << j  # step: samples per unit shift of the rescaled argument
+        if step <= FINE_STEP and count >= span:
+            table = _mexhat_block_taps(step)
+            blocks = padded[:, pad - span // 2 * step:pad + n + span // 2 * step].reshape(
+                x.shape[0], count // span + 1, span * step)
+            w = np.empty((x.shape[0], count // span, span))
+            for coefficients, series_blocks in zip(w, blocks):  # one series per product (see above)
+                np.matmul(series_blocks[:-1], table[0], out=coefficients)
+                coefficients += series_blocks[1:] @ table[1]
+        else:
+            taps = _mexhat_taps(step)
+            flat = np.zeros((span + 1) * (count + span + 2))
+            product = flat[:(span + 1) * (count + span + 1)].reshape(span + 1, -1)[
+                :, span // 2:span // 2 + count]
+            diagonals = flat.reshape(span + 1, -1)[:, :count]
+            w = np.empty((x.shape[0], count))
+            for coefficients, series in zip(w, x):
+                np.matmul(taps, series.reshape(count, step).T, out=product)
+                diagonals.sum(axis=0, out=coefficients)
+        yield 2.0 ** (0.5 * j) * w.reshape(x.shape[0], count)
 
 
 def wavelet_coefficients(series, basis: WaveletBasis, j: int) -> np.ndarray:
@@ -166,6 +182,7 @@ def wavelet_coefficients(series, basis: WaveletBasis, j: int) -> np.ndarray:
     """
     basis = WaveletBasis(basis)
     x, m = _pow2_rows(series_values(series)[None])
+    j = _as_index(j, "level")
     if not 0 <= j < m:
         raise ValueError(f"level must satisfy 0 <= j <= {m - 1}, got {j}")
     return next(_fast_coefficients(_centred(x), m, basis, [j]))[0]

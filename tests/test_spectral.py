@@ -318,7 +318,7 @@ def test_unit_weights_recover_plain_lag_sum():
     x = random_binary(rng, n)
     acv = sample_acv(x, n - 1)
     h = np.arange(1, n + 1)
-    got = _lag_half(acv, n)[np.minimum(h, n - h)]  # h and n - h share an ordinate
+    got = _lag_half(acv, n, np.minimum(h, n - h))  # h and n - h share an ordinate
     freqs = 2.0 * np.pi * h / n
     lags = np.arange(1, n)
     ref = np.array([

@@ -7,12 +7,21 @@ from mplm.estimators import ols_slope
 from mplm.wavelet import (
     TruncationWarning,
     WaveletBasis,
-    _coefficients_direct,
     ladder_rows,
     psi,
     sample_R,
     wavelet_coefficients,
 )
+
+
+def _coefficients_direct(x: np.ndarray, basis: WaveletBasis, j: int) -> np.ndarray:
+    # literal evaluation of the defining sum; quadratic cost, oracle use only
+    n = x.size
+    grid = (1 << j) * (np.arange(n) / n)
+    out = np.empty(1 << j)
+    for k in range(1 << j):
+        out[k] = np.sum(x * psi(basis, grid - k))
+    return 2.0 ** (0.5 * j) * out
 
 
 def test_psi_haar_piecewise_values():
@@ -83,6 +92,10 @@ def test_coefficients_level_bounds_and_count():
         wavelet_coefficients(x, "haar", 6)
     with pytest.raises(ValueError):
         wavelet_coefficients(x, "haar", -1)
+    for basis in ("haar", "mexhat"):
+        for j in (2.0, 2.5):
+            with pytest.raises(ValueError, match="level must be an integer"):
+                wavelet_coefficients(x, basis, j)
 
 
 def test_non_power_of_two_truncates_with_diagnostic():
@@ -107,10 +120,12 @@ def test_sample_R_zero_series_and_brute_force():
         assert np.all(values >= 0.0)
 
 
-@pytest.mark.parametrize("n", [64, 1024, 4096])
+@pytest.mark.parametrize("n", [64, 1024, 4096, 8192])
 def test_mexhat_ladder_matches_direct_summation(n):
-    # every level reads its window of one copy padded for the coarsest level
-    # (j = 4): the shortest ladder, and the coarsest and finest offsets
+    # levels of at most FINE_STEP samples per unit shift take blocks of 16
+    # coefficients from a padded copy, coarser ones a product per level with
+    # no copy: the shortest ladder, and at N = 8192 j = 8 (step 32) and
+    # j = 9 (step 16) on either side of the boundary
     rng = np.random.default_rng(n)
     x = (rng.random(n) < 0.3).astype(float)
     levels, values = ladder_rows(x, "mexhat")
@@ -123,11 +138,24 @@ def test_mexhat_ladder_matches_direct_summation(n):
 
 @pytest.mark.parametrize("basis", ["haar", "mexhat"])
 def test_ladder_rows_batch_equals_single(basis):
+    # at N = 32768 OpenBLAS runs some of the Mexican-hat products on two threads
     rng = np.random.default_rng(15)
-    rows = (rng.random((3, 2048)) < [[0.1], [0.5], [0.9]]).astype(float)
-    _, batch = ladder_rows(rows, basis)
-    for r in range(3):
-        assert np.array_equal(batch[r], ladder_rows(rows[r], basis)[1][0]), r
+    for n in (2048, 32768):
+        rows = (rng.random((3, n)) < [[0.1], [0.5], [0.9]]).astype(float)
+        _, batch = ladder_rows(rows, basis)
+        for r in range(3):
+            assert np.array_equal(batch[r], ladder_rows(rows[r], basis)[1][0]), (n, r)
+
+
+@pytest.mark.parametrize("basis", ["haar", "mexhat"])
+def test_truncated_ladder_equals_ladder_of_prefix(basis):
+    # a length of 30000 reads its first 16384 samples, a non-contiguous slice
+    x = (np.random.default_rng(16).random(30000) < 0.3).astype(float)
+    with pytest.warns(TruncationWarning):
+        levels, values = ladder_rows(x, basis)
+    prefix_levels, prefix_values = ladder_rows(x[:16384], basis)
+    assert np.array_equal(levels, prefix_levels)
+    assert np.array_equal(values, prefix_values)
 
 
 def test_sample_R_needs_64_samples():

@@ -22,6 +22,9 @@ over the pairs, the median ratio and whether the change stays within the
 metric's bound.  ``--claim WORKLOAD:METRIC`` adds the gain rule: the
 change wins at least nine tenths of the pairs (ties count for neither) and
 the medians differ by more than the parent's quartile spread.
+``loop_user_s`` holds each side's median user CPU seconds per timed loop
+and workload: the end-to-end ``cpu_s`` sums only each unit's fastest
+sample, so BLAS worker threads spinning between calls show only here.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ def main(argv=None) -> int:
                "parent": {"rev": args.parent, "git_sha": rev_parse(args.parent)},
                "change": {"rev": "working tree"},
                "perfbench_digest": tree_digest(sides["parent"]),
-               "pairs": {}, "summary": {}, "seed0": {}, "traced": {},
+               "pairs": {}, "summary": {}, "loop_user_s": {}, "seed0": {}, "traced": {},
                "quartiles": 'statistics.quantiles(n=4, method="inclusive") over each side\'s '
                             "pair runs"}
 
@@ -150,6 +153,9 @@ def main(argv=None) -> int:
             pairs = [both(name, args.first_seed + i, 0, i % 2 == 1) for i in range(args.pairs)]
             out["pairs"][name] = pairs
             out["summary"][name] = {m["name"]: summarise(pairs, m) for m in bench["end_to_end"]}
+            out["loop_user_s"][name] = {
+                side: statistics.median(p[side]["loop_user_s"] for p in pairs)
+                for side in ("parent", "change")}
             if args.seed0:
                 out["seed0"][name] = both(name, 0, 0, False)
             traced = [both(name, 0, 1, i % 2 == 1) for i in range(args.traced)]
