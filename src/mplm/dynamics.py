@@ -9,8 +9,9 @@ Three generators are provided:
 * a countdown Markov chain on the nonnegative integers whose excursion
   lengths have the same tail (``simulate_markov``).
 
-Each has a batch form that returns one (reps, n) float64 row per seed, and
-the single-series function returns row 0 of a one-seed batch, an (n,)
+Each has a batch form that returns one (reps, n) row per seed, float64
+unless its ``dtype`` asks for another (Monte Carlo cells ask for uint8),
+and the single-series function returns row 0 of a one-seed batch, an (n,)
 array.  The two maps also have a partial-sum form (``mp_partial_sums``,
 ``lbp_partial_sums``) that returns the sum of each row over its own length;
 it runs the same orbit loop over rows of every length at once and stores no
@@ -37,6 +38,7 @@ import numpy as np
 
 from ._seeds import stream_uniforms
 from ._zeta import tail_sum, zeta_value
+from .spectral import _as_index
 
 # Consecutive identical iterates before a laminar-freeze diagnostic fires.
 STALL_LIMIT = 10_000
@@ -78,9 +80,9 @@ def _require_gamma(gamma: float) -> None:
 
 
 def _require_run(n: int, burn_in: int) -> None:
-    if n < 1:
+    if _as_index(n, "series length") < 1:
         raise ValueError(f"series length must be >= 1, got {n}")
-    if burn_in < 0:
+    if _as_index(burn_in, "burn-in") < 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
 
 
@@ -105,7 +107,8 @@ class ObservableSpec:
         return (self.lo, self.hi)
 
     def indicate(self, x: np.ndarray) -> np.ndarray:
-        return ((x > self.lo) & (x < self.hi)).astype(np.float64)
+        """The boolean mask of the states inside (lo, hi)."""
+        return (x > self.lo) & (x < self.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +184,9 @@ def _orbit_blocks(step, x0: np.ndarray, lengths: np.ndarray, burn_in: int):
 
 
 def _iterate_map(step, x0: np.ndarray, n: int, burn_in: int,
-                 observable: ObservableSpec) -> np.ndarray:
+                 observable: ObservableSpec, dtype=np.float64) -> np.ndarray:
     """The observable of each row's states ``burn_in .. burn_in + n - 1``, a (reps, n) array."""
-    out = np.empty((x0.size, n))
+    out = np.empty((x0.size, n), dtype=dtype)
     for first, states in _orbit_blocks(step, x0, np.full(x0.size, n), burn_in):
         out[:, first:first + len(states)] = observable.indicate(states).T
     return out
@@ -194,7 +197,8 @@ def _orbit_sums(step, lengths, seeds, burn_in: int, observable: ObservableSpec) 
 
     The rows step longest first in one loop; no series is stored.
     """
-    lengths = np.array(lengths, dtype=np.int64, ndmin=1)
+    lengths = np.array([_as_index(n, "series length") for n in np.ravel(lengths).tolist()],
+                       dtype=np.int64)
     if lengths.size != len(seeds):
         raise ValueError(f"need one length per seed, got {lengths.size} for {len(seeds)} seeds")
     _require_run(lengths.min(initial=1), burn_in)
@@ -202,7 +206,7 @@ def _orbit_sums(step, lengths, seeds, burn_in: int, observable: ObservableSpec) 
     x0 = stream_uniforms(seeds, 1)[order, 0]
     sums = np.zeros(lengths.size)
     for _, states in _orbit_blocks(step, x0, lengths[order], burn_in):
-        sums[:states.shape[1]] += observable.indicate(states).sum(axis=0)
+        sums[:states.shape[1]] += np.count_nonzero(observable.indicate(states), axis=0)
     out = np.empty_like(sums)
     out[order] = sums
     return out
@@ -221,16 +225,18 @@ def _mp_stepper(s: float):
 
 
 def simulate_mp_batch(s: float, n: int, seeds, burn_in: int = 10_000,
-                      observable: ObservableSpec = ObservableSpec()) -> np.ndarray:
-    """Simulate one smooth-map series per seed; returns a (reps, n) array.
+                      observable: ObservableSpec = ObservableSpec(),
+                      dtype=np.float64) -> np.ndarray:
+    """Simulate one smooth-map series per seed; returns a (reps, n) array of ``dtype``.
 
     Row r is bit-identical to ``simulate_mp(s, n, seeds[r], ...)``: each
-    replication owns its stream and only the start point is random.
+    replication owns its stream and only the start point is random.  The
+    0/1 values are the same in any numeric ``dtype``.
     """
     _require_s(s)
     _require_run(n, burn_in)
     x0 = stream_uniforms(seeds, 1)[:, 0]
-    return _iterate_map(_mp_stepper(s), x0, n, burn_in, observable)
+    return _iterate_map(_mp_stepper(s), x0, n, burn_in, observable, dtype)
 
 
 def mp_partial_sums(s: float, lengths, seeds, burn_in: int = 10_000,
@@ -334,12 +340,13 @@ def lbp_step(gamma: float, x: float) -> float:
 
 
 def simulate_lbp_batch(gamma: float, n: int, seeds, burn_in: int = 10_000,
-                       observable: ObservableSpec = ObservableSpec()) -> np.ndarray:
+                       observable: ObservableSpec = ObservableSpec(),
+                       dtype=np.float64) -> np.ndarray:
     """Piecewise-linear analogue of ``simulate_mp_batch``."""
     _require_gamma(gamma)
     _require_run(n, burn_in)
     x0 = stream_uniforms(seeds, 1)[:, 0]
-    return _iterate_map(_lbp_stepper(gamma), x0, n, burn_in, observable)
+    return _iterate_map(_lbp_stepper(gamma), x0, n, burn_in, observable, dtype)
 
 
 def lbp_partial_sums(gamma: float, lengths, seeds, burn_in: int = 10_000,
@@ -454,8 +461,8 @@ def _chain_zeros(gamma: float, n: int, u: np.ndarray, last=None) -> np.ndarray:
     return np.cumsum(steps, axis=1, out=steps)
 
 
-def simulate_markov_batch(gamma: float, n: int, seeds) -> np.ndarray:
-    """Simulate one stationary countdown-chain path per seed; returns a (reps, n) array.
+def simulate_markov_batch(gamma: float, n: int, seeds, dtype=np.float64) -> np.ndarray:
+    """Simulate one stationary countdown-chain path per seed; a (reps, n) array of ``dtype``.
 
     Row r is bit-identical to ``simulate_markov(gamma, n, seeds[r])``.  A
     row's stream is one forward sequence of uniforms, the first for the
@@ -468,7 +475,7 @@ def simulate_markov_batch(gamma: float, n: int, seeds) -> np.ndarray:
     """
     _require_gamma(gamma)
     _require_run(n, 0)
-    out = np.ones((len(seeds), n))
+    out = np.ones((len(seeds), n), dtype=dtype)
     mean_cycle = zeta_value(gamma - 1.0) / zeta_value(gamma)
     count = 1 + max(64, int(_CHAIN_PREFIX * (n - 1) / mean_cycle) + 8)
     rows, start, last = np.arange(len(seeds)), 0, None
@@ -480,7 +487,7 @@ def simulate_markov_batch(gamma: float, n: int, seeds) -> np.ndarray:
             u = stream_uniforms([seeds[r] for r in chunk], count, start)
             zeros = _chain_zeros(gamma, n, u, None if last is None else last[lo:lo + per_chunk])
             flat = zeros + (chunk * n)[:, None]
-            out.reshape(-1)[flat[zeros < n]] = 0.0
+            out.reshape(-1)[flat[zeros < n]] = 0
             going_on = zeros[:, -1] < n - 1
             short.append((chunk[going_on], zeros[going_on, -1]))
         rows, last = map(np.concatenate, zip(*short))

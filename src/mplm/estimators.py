@@ -494,7 +494,8 @@ def estimate_batch(rows, method: str, **config) -> BatchEstimate:
     ``points_used`` and ``reason``.  Config keys, errors and non-finite rows
     behave as in ``estimate``.  The statistic runs on chunks of at most
     ``CHUNK_VALUES`` samples, which bounds the memory a batch needs, and the
-    batch is inverted once.
+    batch is inverted once.  Integer or bool rows give the results of their
+    float64 values bit for bit, without a float64 copy of the whole array.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
@@ -502,9 +503,10 @@ def estimate_batch(rows, method: str, **config) -> BatchEstimate:
     for key in config:
         if key not in METHOD_KEYWORDS[method]:
             raise TypeError(f"method {method!r} got an unexpected keyword argument {key!r}")
-    # a row with a non-finite value is computed as zeros and then marked invalid
+    # a float row with a non-finite value is computed as zeros and then marked invalid;
+    # integer or bool rows (a cell's 0/1 rows) are finite and widen one chunk at a time
     x = series_rows(rows)
-    finite = np.isfinite(x).all(axis=1)
+    finite = np.isfinite(x).all(axis=1) if x.dtype.kind == "f" else np.ones(len(x), dtype=bool)
     finite_rows = np.count_nonzero(finite)
     if finite_rows == 0:
         return _finish(method, np.full(finite.size, np.nan), np.full(finite.size, np.nan), 0,
@@ -512,7 +514,8 @@ def estimate_batch(rows, method: str, **config) -> BatchEstimate:
     if finite_rows < finite.size:
         x = np.where(finite[:, None], x, 0.0)
     step = max(1, CHUNK_VALUES // x.shape[1])
-    parts = [statistic(x[i:i + step], **fixed, **config) for i in range(0, len(x), step)]
+    parts = [statistic(x[i:i + step].astype(np.float64, copy=False), **fixed, **config)
+             for i in range(0, len(x), step)]
     arrays = parts[0][0] if len(parts) == 1 else map(np.concatenate, zip(*(v for v, _ in parts)))
     out = inversion(*arrays, method=method, **parts[0][1])
     if finite_rows < finite.size:

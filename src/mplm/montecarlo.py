@@ -5,9 +5,10 @@ its series from a stream keyed by (base seed, model, s, N, method, r), so
 results are reproducible and do not depend on the order the cells run in.
 Cells run one after another on the calling thread.
 
-A cell simulates its replications as one (replications, N) array and
-estimates every row with one ``estimate_batch`` call; row r of that batch
-equals ``estimate`` on replication r alone, to rounding (1e-12).
+A cell simulates its replications as one (replications, N) uint8 array and
+estimates every row with one ``estimate_batch`` call, which widens them to
+float64 a chunk at a time; row r of that batch equals ``estimate`` on
+replication r alone, to rounding (1e-12).
 
 Summaries report mean, standard deviation (R-1 divisor), and
 mse = (mean - s)^2 + sd^2 over valid replications; invalid estimates are
@@ -77,7 +78,8 @@ class ExperimentSpec:
         # the burn-in, every cell's exponent and every (length, method) pair
         # must pass the simulator's and the method's checks before anything
         # is simulated, not when the grid reaches that cell
-        _require_run(min(self.n_values), self.burn_in)
+        for n in self.n_values:
+            _require_run(n, self.burn_in)
         for s in self.s_values:
             try:
                 if self.model == "mp":
@@ -141,10 +143,11 @@ def summarize(values, true_s: float) -> tuple[float, float, float]:
 
 def _simulate_cell(spec: ExperimentSpec, s: float, n: int, seeds) -> np.ndarray:
     if spec.model == "mp":
-        return simulate_mp_batch(s, n, seeds, spec.burn_in, spec.observable)
+        return simulate_mp_batch(s, n, seeds, spec.burn_in, spec.observable, np.uint8)
     if spec.model == "lbp":
-        return simulate_lbp_batch(equivalent_gamma(s), n, seeds, spec.burn_in, spec.observable)
-    return simulate_markov_batch(equivalent_gamma(s), n, seeds)
+        return simulate_lbp_batch(equivalent_gamma(s), n, seeds, spec.burn_in, spec.observable,
+                                  np.uint8)
+    return simulate_markov_batch(equivalent_gamma(s), n, seeds, np.uint8)
 
 
 def _run_cell(spec: ExperimentSpec, s: float, n: int, method: str) -> McSummary:

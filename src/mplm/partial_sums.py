@@ -24,6 +24,7 @@ from ._seeds import derive_seeds
 # looks it up, so the name stays importable here; nothing here calls it
 from .dynamics import simulate_mp_batch  # noqa: F401
 from .estimators import ols_slope
+from .spectral import _as_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +47,7 @@ def scaling_exponent(generator, s: float, grid, reps: int, seed: int) -> Scaling
     row gets its own derived stream, so the fit is reproducible from the
     base seed.
     """
-    sizes = np.asarray(sorted(int(n) for n in grid))
+    sizes = np.asarray(sorted(_as_index(n, "grid length") for n in grid))
     if sizes.size < 4 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
         raise ValueError("grid must contain at least 4 strictly increasing lengths >= 1")
     if reps < 50:

@@ -51,8 +51,10 @@ def series_values(series) -> np.ndarray:
 
 
 def series_rows(rows) -> np.ndarray:
-    """A (rows, N) float array, with one 1-d series taken as a single row."""
-    x = np.asarray(rows, dtype=np.float64)
+    """A (rows, N) array, one 1-d series taken as a single row: float64 unless integer or bool."""
+    x = np.asarray(rows)
+    if x.dtype.kind not in "biu":
+        x = np.asarray(rows, dtype=np.float64)
     if x.ndim == 1:
         x = x[None]
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:

@@ -300,6 +300,57 @@ def test_partial_sums_validation():
         dynamics.lbp_partial_sums(2.25, [10, 20, 30], [1, 2])
 
 
+@pytest.mark.parametrize("run", [
+    lambda **kw: simulate_mp_batch(0.8, 5.0, [1], **kw),
+    lambda **kw: simulate_lbp_batch(2.25, 2.5, [1], **kw),
+    lambda **kw: simulate_markov_batch(2.25, 5.0, [1]),
+    lambda **kw: dynamics.mp_partial_sums(0.8, [2.5, 3.7], [1, 2], **kw),
+    lambda **kw: dynamics.lbp_partial_sums(2.25, np.array([4.0, 3.0]), [1, 2], **kw),
+], ids=["mp", "lbp", "markov", "mp-sums", "lbp-sums"])
+def test_non_integer_lengths_are_rejected(run):
+    # 2.5 and 3.7 were truncated to 2 and 3; 5.0 raised TypeError from numpy
+    with pytest.raises(ValueError, match="series length must be an integer"):
+        run(burn_in=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda b: simulate_mp_batch(0.8, 5, [1], burn_in=b),
+    lambda b: simulate_lbp_batch(2.25, 5, [1], burn_in=b),
+    lambda b: dynamics.mp_partial_sums(0.8, [3, 2], [1, 2], burn_in=b),
+], ids=["mp", "lbp", "mp-sums"])
+def test_non_integer_burn_in_is_rejected(run):
+    with pytest.raises(ValueError, match="burn-in must be an integer, got 2.5"):
+        run(2.5)
+
+
+@pytest.mark.parametrize("model", ["mp", "lbp", "markov"])
+def test_uint8_rows_equal_float64_rows(model):
+    # n = 257 ends one state into a second orbit block of 256 steps
+    seeds = [derive_seed(3, "compact", r) for r in range(9)]
+    if model == "markov":
+        wide, compact = (simulate_markov_batch(2.25, 257, seeds, dtype=dtype)
+                         for dtype in (np.float64, np.uint8))
+    else:
+        simulate, param = {"mp": (simulate_mp_batch, 0.65),
+                           "lbp": (simulate_lbp_batch, 2.25)}[model]
+        wide, compact = (simulate(param, 257, seeds, 37, dtype=dtype)
+                         for dtype in (np.float64, np.uint8))
+    assert (wide.dtype, compact.dtype, compact.shape) == (np.float64, np.uint8, (9, 257))
+    np.testing.assert_array_equal(compact, wide)
+
+
+@pytest.mark.parametrize("step, frozen", [(dynamics._mp_stepper(0.8), 1e-300),
+                                          (dynamics._lbp_stepper(2.25), 0.0)], ids=["mp", "lbp"])
+def test_uint8_rows_equal_float64_rows_beside_a_stalled_row(step, frozen):
+    rows = []
+    for dtype in (np.float64, np.uint8):
+        with pytest.warns(StallWarning):
+            rows.append(_iterate_map(step, np.array([0.3, frozen, 0.95]), 257, STALL_LIMIT,
+                                     ObservableSpec(), dtype))
+    assert rows[1].dtype == np.uint8
+    np.testing.assert_array_equal(rows[1], rows[0])
+
+
 def test_stall_window_is_each_rows_own():
     # a frozen row warns only when its own burn_in + length states hold
     # STALL_LIMIT identical iterates, whatever the longer rows beside it

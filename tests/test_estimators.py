@@ -820,3 +820,19 @@ def test_property_batch_equals_single_on_random_binary_rows(method, extra, rows,
         batch = estimate_batch(x, method)
         for i in range(rows):
             _same_result(batch.result(i), estimate(x[i], method), f"{method} n={n} row {i}")
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_integer_rows_estimate_as_their_float64_values(method):
+    # 9 rows of N = 8192 run in chunks of CHUNK_VALUES // 8192 = 4 rows: three chunks
+    rows = simulate_mp_batch(0.65, 8192, [derive_seed(6, "compact", r) for r in range(9)],
+                             burn_in=0, dtype=np.uint8)
+    want = estimate_batch(rows.astype(np.float64), method)
+    for compact in (rows, rows.astype(bool)):
+        got = estimate_batch(compact, method)
+        for name in ("s_hat", "valid", "slope", "points_used"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.reason == want.reason
+        assert got.diagnostics.keys() == want.diagnostics.keys()
+        for name, column in want.diagnostics.items():
+            assert np.asarray(got.diagnostics[name]).tobytes() == np.asarray(column).tobytes()

@@ -91,6 +91,15 @@ def test_spec_rejects_a_negative_burn_in_for_every_model(model):
         ExperimentSpec((0.8,), (1024,), ("perio",), 2, model=model, burn_in=-5)
 
 
+def test_spec_rejects_a_non_integer_length_or_burn_in():
+    # each raised TypeError from numpy once the grid reached its cell, or
+    # from the first cell for a burn-in
+    with pytest.raises(ValueError, match="series length must be an integer, got 2048.0"):
+        ExperimentSpec((0.8,), (1024, 2048.0), ("perio",), 2)
+    with pytest.raises(ValueError, match="burn-in must be an integer, got 2.5"):
+        ExperimentSpec((0.8,), (1024,), ("perio",), 2, burn_in=2.5)
+
+
 @pytest.mark.parametrize("s_values, n_values, methods, named", [
     ((0.6, 0.8, 0.6), (2048,), ("perio",), "s=0.6"),
     ((0.8,), (2048, 2048), ("perio",), "N=2048"),
@@ -202,3 +211,23 @@ def test_markov_and_lbp_models_run():
                               base_seed=9, model=model, burn_in=50)
         row = run_experiment(spec, threads=1)[0]
         assert row.replications == 3
+
+
+@pytest.mark.parametrize("model, s, n, method, reps", [("mp", 0.65, 30_000, "parzen", 50),
+                                                        ("markov", 0.65, 3_000, "perio", 250)])
+def test_a_cell_never_holds_its_rows_as_float64(model, s, n, method, reps):
+    # The bound is the bytes of the cell's rows as float64, reps * n * 8
+    # (12 MB and 6 MB): rows held as uint8 take an eighth of it and are
+    # widened one CHUNK_VALUES chunk at a time.  float64 rows read 13.5 and
+    # 7.3 MB here; uint8 rows 2.6 and 2.1 MB.
+    import tracemalloc
+
+    spec = ExperimentSpec((s,), (n,), (method,), reps, model=model, burn_in=0)
+    montecarlo._run_cell(spec, s, n, method)  # fills the cached tables first
+    tracemalloc.start()
+    try:
+        montecarlo._run_cell(spec, s, n, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < reps * n * 8

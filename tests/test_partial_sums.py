@@ -142,6 +142,9 @@ def test_scaling_exponent_validation():
         scaling_exponent(bernoulli_sums, 0.8, [64, 128, 256, 512], 10, seed=0)
     with pytest.raises(ValueError):
         scaling_exponent(bernoulli_sums, 0.8, [64, 64, 128, 256], 100, seed=0)
+    # 64.5 was fitted as N = 64
+    with pytest.raises(ValueError, match="grid length must be an integer, got 64.5"):
+        scaling_exponent(bernoulli_sums, 0.8, [64.5, 128, 256, 512], 100, seed=0)
 
 
 def test_scaling_exponent_rejects_a_constant_generator():

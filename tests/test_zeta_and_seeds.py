@@ -4,7 +4,7 @@ import scipy.special as sps
 from numpy.testing import assert_allclose
 
 from mplm._seeds import _key, derive_seed, derive_seeds, stream_uniforms
-from mplm._zeta import tail_sum, zeta_value
+from mplm._zeta import _DIRECT_TERMS, _em_tail, tail_sum, zeta_value
 
 APERY = 1.2020569031595943  # sum of n**-3
 
@@ -36,6 +36,37 @@ def test_zeta_rejects_bad_exponent():
 @pytest.mark.parametrize("m", [0, 1, 17, 63, 64, 1000, 10**6, 10**9])
 def test_tail_sum_against_hurwitz(g, m):
     assert_allclose(tail_sum(g, m), float(sps.zeta(g, m + 1)), rtol=1e-11)
+
+
+# every gamma = 1 + 1/s of the presets, every gamma - 1 of those with
+# gamma > 2, the goldens' gammas and others
+HEAD_EXPONENTS = [1.0 + 1.0 / s for s in (0.35, 0.4, 0.45, 0.6, 0.65, 0.8, 1.0, 1.1, 1.2, 1.3)] + [
+    1.0 / s for s in (0.35, 0.4, 0.45, 0.6, 0.65, 0.8)] + [
+    1.0001, 1.05, 1.25, 1.5, 1.538, 2.0, 2.05, 2.25, 2.538, 3.0, 3.5, 4.5, 7.25]
+
+
+def test_zeta_value_equals_the_one_array_head_sum():
+    # the head summed in pieces, split as numpy's pairwise sum splits one
+    # array, equals the sum of that array bit for bit
+    for g in HEAD_EXPONENTS:
+        n = np.arange(1, _DIRECT_TERMS + 1, dtype=np.float64)
+        oracle = float(np.sum(n ** (-g))) + _em_tail(g, float(_DIRECT_TERMS + 1))
+        assert zeta_value.__wrapped__(g) == oracle, g
+
+
+def test_zeta_value_needs_no_array_of_all_terms():
+    # all 10**6 terms take 8 MB in one float64 array, and their powers 8 MB
+    # more; a piece of 2**16 terms and its powers take 1 MB, and the bound is
+    # twice that
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        zeta_value.__wrapped__(2.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (2 * 8 << 16)
 
 
 def test_tail_plus_partial_recovers_total():
